@@ -19,12 +19,12 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import metrics, policygnn, traindata
 from .costmodel import make_cost_model
-from .molspace import Inventory, TableDomain, make_domain
+from .molspace import ExpansionOracle, Inventory, TableDomain, make_domain
 from .planner import PlanConfig, PlanResult, PlanningError, batch_plan, plan
 from .searchgraph import ContractViolation
 
@@ -58,7 +58,6 @@ class RunConfig:
     lr: float = 1e-4
     train_batch: int = 32
     val_n: int = 32
-    test_n: int = 0
     hidden: int = 128
     rbf_n: int = 64
     layers: int = 3
@@ -113,32 +112,32 @@ def plan_config(cfg: RunConfig) -> PlanConfig:
                       seed=cfg.seed)
 
 
-def _domain(cfg: RunConfig):
+def _inputs(cfg: RunConfig) -> tuple[ExpansionOracle, Inventory, list[str]]:
+    """The domain, the inventory and the non-blank target lines, checked in
+    that order; a missing or blank target file is a config error."""
     try:
-        return make_domain(cfg.domain, seed=cfg.seed, max_candidates=cfg.k)
+        domain = make_domain(cfg.domain, seed=cfg.seed)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot build domain {cfg.domain!r}: {exc}") from exc
-
-
-def _inventory(cfg: RunConfig, domain) -> Inventory:
     if cfg.inventory is not None:
         try:
-            return Inventory.from_file(cfg.inventory)
+            inventory = Inventory.from_file(cfg.inventory)
         except OSError as exc:
             raise ConfigError(f"cannot read inventory {cfg.inventory}: {exc}") from exc
-    if isinstance(domain, TableDomain):
+    elif isinstance(domain, TableDomain):
         raise ConfigError("table domains need an explicit --inventory file")
-    return Inventory.integer_range(cfg.inventory_max)
-
-
-def _targets(cfg: RunConfig) -> list[str]:
+    else:
+        inventory = Inventory.integer_range(cfg.inventory_max)
     if cfg.targets is None:
         raise ConfigError("this command needs --targets (one molecule per line)")
     try:
         lines = Path(cfg.targets).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read targets {cfg.targets}: {exc}") from exc
-    return [line.strip() for line in lines if line.strip()]
+    targets = [line.strip() for line in lines if line.strip()]
+    if not targets:
+        raise ConfigError(f"no targets in {cfg.targets}")
+    return domain, inventory, targets
 
 
 def _cost_model(cfg: RunConfig):
@@ -160,11 +159,7 @@ def _dump_json(path: Path, payload) -> None:
 
 
 def cmd_plan(cfg: RunConfig) -> int:
-    domain = _domain(cfg)
-    inventory = _inventory(cfg, domain)
-    targets = _targets(cfg)
-    if not targets:
-        raise ConfigError(f"no targets in {cfg.targets}")
+    domain, inventory, targets = _inputs(cfg)
     cost_model = _cost_model(cfg)
     pcfg = plan_config(cfg)
     out = _outdir(cfg)
@@ -183,11 +178,7 @@ def cmd_plan(cfg: RunConfig) -> int:
 
 
 def cmd_batch_plan(cfg: RunConfig) -> int:
-    domain = _domain(cfg)
-    inventory = _inventory(cfg, domain)
-    targets = _targets(cfg)
-    if not targets:
-        raise ConfigError(f"no targets in {cfg.targets}")
+    domain, inventory, targets = _inputs(cfg)
     cost_model = _cost_model(cfg)
     try:
         results = batch_plan(targets, domain, inventory, plan_config(cfg),
@@ -208,9 +199,7 @@ def cmd_batch_plan(cfg: RunConfig) -> int:
 
 
 def cmd_gen_data(cfg: RunConfig) -> int:
-    domain = _domain(cfg)
-    inventory = _inventory(cfg, domain)
-    targets = _targets(cfg)
+    domain, inventory, targets = _inputs(cfg)
     examples = traindata.generate(targets, domain, inventory, plan_config(cfg),
                                   full_k=cfg.full_k)
     out = _outdir(cfg)
@@ -229,7 +218,7 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError(f"dataset {cfg.targets} has too few examples to train on")
     val_n = min(cfg.val_n, len(dataset) - 1)
     try:
-        train_set, val_set, _ = traindata.split(dataset, val_n, cfg.test_n, cfg.seed)
+        train_set, val_set = traindata.split(dataset, val_n, cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     hyper = policygnn.GnnHyper(
@@ -284,16 +273,14 @@ def cmd_eval(cfg: RunConfig, result_files: list[str]) -> int:
 
 
 def cmd_study_redundancy(cfg: RunConfig) -> int:
-    domain = _domain(cfg)
-    inventory = _inventory(cfg, domain)
-    targets = _targets(cfg)
+    domain, inventory, targets = _inputs(cfg)
     if len(targets) < 2:
         raise ConfigError("study-redundancy needs at least two targets")
     cost_model = _cost_model(cfg)
     rows = []
     traces: dict[str, list] = {"graph": [], "tree": []}
     for mode in ("graph", "tree"):
-        pcfg = PlanConfig(budget=cfg.budget, k=cfg.k, mode=mode, seed=cfg.seed)
+        pcfg = replace(plan_config(cfg), mode=mode)
         for target in targets:
             result = plan([target], domain, inventory, pcfg, cost_model)
             if not result.trace:

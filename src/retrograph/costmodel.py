@@ -30,12 +30,6 @@ class CostModel:
         """Total cost for every open molecule node of the graph."""
         raise NotImplementedError
 
-    def total_cost(self, graph: SearchGraph, v: NodeId) -> float:
-        node = graph.nodes[v]
-        if node.kind != "molecule" or not node.open:
-            raise ValueError(f"node {v} is not an open molecule node")
-        return self.open_costs(graph)[v]
-
     def save(self, path) -> None:
         raise ValueError(f"cost model {self.variant!r} has nothing to save")
 
@@ -137,7 +131,11 @@ def train_value_net(routes, bits: int = 2048, hidden: int = 64,
 
 class GnnCost(CostModel):
     """Policy-network guidance: heuristic is -lambda * ln(normalized score),
-    with scores computed once per call for all open nodes together."""
+    with scores computed once per call for all open nodes together.
+
+    The log of the softmax is taken as logit - logsumexp(logits), so a score
+    that underflows to 0.0 still gets a finite price.
+    """
 
     variant = "gnn"
 
@@ -147,14 +145,13 @@ class GnnCost(CostModel):
         self.params = params
         self.lam = lam
 
-    def scores(self, graph: SearchGraph) -> dict[NodeId, float]:
-        return policygnn.score(graph.snapshot(), self.params).normalized
-
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
-        scores = self.scores(graph)
+        logits = policygnn.score(graph.snapshot(), self.params).logit
+        shifted = np.array(list(logits.values())) - max(logits.values())
+        log_norm = shifted - math.log(np.exp(shifted).sum())
         return {
-            v: graph.nodes[v].hist_cost - self.lam * math.log(s)
-            for v, s in scores.items()
+            v: graph.nodes[v].hist_cost - self.lam * ln
+            for v, ln in zip(logits, log_norm.tolist())
         }
 
     def save(self, path) -> None:
@@ -163,15 +160,6 @@ class GnnCost(CostModel):
     @classmethod
     def load(cls, path, lam: float = 1.0) -> "GnnCost":
         return cls(policygnn.GnnParameters.load(path), lam)
-
-
-def score_open_nodes(cost_model: CostModel, graph: SearchGraph) -> dict[NodeId, float]:
-    """Normalized selection scores; only meaningful for the gnn variant."""
-    if not isinstance(cost_model, GnnCost):
-        raise ValueError(
-            f"cost model {cost_model.variant!r} has no normalized scores"
-        )
-    return cost_model.scores(graph)
 
 
 def make_cost_model(variant: str, checkpoint=None, lam: float = 1.0) -> CostModel:

@@ -95,11 +95,6 @@ class Inventory:
         return cls(members)
 
 
-def is_available(molecule: MoleculeId, inventory: Inventory) -> bool:
-    """True iff *molecule* can be bought directly."""
-    return molecule in inventory
-
-
 def features(molecule: MoleculeId, bits: int = 2048) -> np.ndarray:
     """Hashed binary feature vector of a molecule key.
 
@@ -129,25 +124,22 @@ class ExpansionOracle:
 
     name: str = "abstract"
 
-    def __init__(self, max_candidates: int = 50):
-        if max_candidates < 1:
-            raise ValueError(f"max_candidates must be >= 1, got {max_candidates}")
-        self.max_candidates = max_candidates
-
     def canonical(self, raw: str) -> MoleculeId:
         raise NotImplementedError
+
+    def canonical_unique(self, raws: Iterable[str]) -> list[MoleculeId]:
+        """Canonical keys of *raws* in first-seen order, duplicates dropped."""
+        return list(dict.fromkeys(self.canonical(raw) for raw in raws))
 
     def reactions(self, molecule: MoleculeId) -> list[Reaction]:
         raise NotImplementedError
 
-    def expand(self, molecule: MoleculeId, k: int | None = None) -> list[Reaction]:
+    def expand(self, molecule: MoleculeId, k: int) -> list[Reaction]:
         """At most *k* lowest-cost reactions producing *molecule*.
 
         Deterministic: same molecule and k always give the same list. An
         empty list marks a dead end.
         """
-        if k is None:
-            k = self.max_candidates
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         return self.reactions(molecule)[:k]
@@ -156,8 +148,7 @@ class ExpansionOracle:
 class _IntegerDomain(ExpansionOracle):
     """Shared canonicalization for the integer-valued molecule domains."""
 
-    def __init__(self, seed: int = 0, max_candidates: int = 50):
-        super().__init__(max_candidates)
+    def __init__(self, seed: int = 0):
         self.seed = seed
 
     def canonical(self, raw: str) -> MoleculeId:
@@ -225,8 +216,7 @@ class TableDomain(ExpansionOracle):
 
     name = "table"
 
-    def __init__(self, reactions: Iterable[Reaction], max_candidates: int = 50):
-        super().__init__(max_candidates)
+    def __init__(self, reactions: Iterable[Reaction]):
         table: dict[MoleculeId, list[Reaction]] = {}
         for rxn in reactions:
             product = self.canonical(rxn.product)
@@ -246,7 +236,7 @@ class TableDomain(ExpansionOracle):
         return list(self._table.get(self.canonical(molecule), []))
 
     @classmethod
-    def from_jsonl(cls, path: str | Path, max_candidates: int = 50) -> "TableDomain":
+    def from_jsonl(cls, path: str | Path) -> "TableDomain":
         """Load a reaction table: one {"product", "reactants", "cost"} JSON
         object per line."""
         rxns = []
@@ -263,7 +253,7 @@ class TableDomain(ExpansionOracle):
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad reaction record: {exc}") from exc
             rxns.append(rxn)
-        return cls(rxns, max_candidates)
+        return cls(rxns)
 
     def to_jsonl(self, path: str | Path) -> None:
         lines = []
@@ -276,13 +266,13 @@ class TableDomain(ExpansionOracle):
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def make_domain(spec: str, seed: int = 0, max_candidates: int = 50) -> ExpansionOracle:
+def make_domain(spec: str, seed: int = 0) -> ExpansionOracle:
     """Build a domain from a CLI-style spec: a known name or a JSONL path."""
     if spec == AdditiveSplitDomain.name:
-        return AdditiveSplitDomain(seed, max_candidates)
+        return AdditiveSplitDomain(seed)
     if spec == FactorSplitDomain.name:
-        return FactorSplitDomain(seed, max_candidates)
+        return FactorSplitDomain(seed)
     path = Path(spec)
     if path.suffix == ".jsonl" or path.exists():
-        return TableDomain.from_jsonl(path, max_candidates)
+        return TableDomain.from_jsonl(path)
     raise ValueError(f"unknown domain {spec!r} (expected a domain name or a JSONL path)")

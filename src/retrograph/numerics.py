@@ -150,28 +150,11 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(a.data * mask, pulls=((a, lambda g: g * mask),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(s, pulls=((a, lambda g: g * s * (1.0 - s)),))
-
-
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.data)
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-a.data))
     return Tensor(out, pulls=((a, lambda g: g * s),))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return Tensor(out, pulls=((a, lambda g: g * out),))
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    return Tensor(out, pulls=((a, lambda g: g / a.data),))
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:

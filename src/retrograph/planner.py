@@ -193,8 +193,7 @@ def select_next(graph: SearchGraph, cost_model: CostModel) -> NodeId:
 
 
 def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
-         cfg: PlanConfig, cost_model: CostModel | None = None,
-         on_iteration=None) -> PlanResult:
+         cfg: PlanConfig, cost_model: CostModel | None = None) -> PlanResult:
     """Run the planning loop for one (possibly multi-target) graph.
 
     Targets are canonicalized and deduplicated up front. The loop keeps
@@ -204,11 +203,7 @@ def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
     if not targets:
         raise ValueError("plan needs at least one target")
     cost_model = cost_model if cost_model is not None else ZeroCost()
-    canon: list[str] = []
-    for raw in targets:
-        key = oracle.canonical(raw)
-        if key not in canon:
-            canon.append(key)
+    canon = oracle.canonical_unique(targets)
     graph = SearchGraph(dedup=cfg.mode == "graph")
     tids = [graph.add_target(key, inventory) for key in canon]
     first: dict[NodeId, int] = {
@@ -232,15 +227,12 @@ def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
         for t in tids:
             if t not in first and graph.nodes[t].success:
                 first[t] = iterations
-        record = TraceRecord(
+        trace.append(TraceRecord(
             iteration=iterations, expanded=molecule,
             molecule_nodes=graph.molecule_count(),
             reaction_nodes=graph.reaction_count(),
             successes=tuple(graph.nodes[t].success for t in tids),
-        )
-        trace.append(record)
-        if on_iteration is not None:
-            on_iteration(record)
+        ))
     graph.check_invariants()
     results = []
     for key, t in zip(canon, tids):
@@ -364,16 +356,12 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0,
 
 def batch_plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
                cfg: PlanConfig, cost_model: CostModel | None = None,
-               bits: int = 2048, on_iteration=None) -> list[PlanResult]:
+               bits: int = 2048) -> list[PlanResult]:
     """Cluster targets, slice each cluster into batches, and plan every
     batch in one shared graph with budget scaled by the batch's size."""
     if not targets:
         raise ValueError("batch_plan needs at least one target")
-    canon: list[str] = []
-    for raw in targets:
-        key = oracle.canonical(raw)
-        if key not in canon:
-            canon.append(key)
+    canon = oracle.canonical_unique(targets)
     if cfg.clusters > len(canon):
         raise ValueError(
             f"cannot form {cfg.clusters} clusters from {len(canon)} targets"
@@ -386,6 +374,5 @@ def batch_plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory
         for start in range(0, len(members), cfg.batch_size):
             chunk = members[start:start + cfg.batch_size]
             chunk_cfg = replace(cfg, budget=cfg.budget * len(chunk))
-            results.append(plan(chunk, oracle, inventory, chunk_cfg, cost_model,
-                                on_iteration))
+            results.append(plan(chunk, oracle, inventory, chunk_cfg, cost_model))
     return results

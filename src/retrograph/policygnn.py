@@ -135,20 +135,9 @@ class GnnParameters:
 
 
 @dataclass
-class GraphEncoding:
-    """Per-layer node/edge/global states recorded during a forward pass."""
-
-    node_states: list[np.ndarray]
-    edge_states: list[np.ndarray]
-    global_states: list[np.ndarray]
-
-
-@dataclass
 class ForwardResult:
-    logits: dict[int, Tensor]     # open molecule node id -> scalar logit (1,1)
     all_logits: Tensor            # (n_nodes, 1), snapshot node order
     open_ids: list[int]           # open molecule node ids, ascending
-    encoding: GraphEncoding
 
 
 @dataclass
@@ -238,24 +227,17 @@ def forward(snap: dict, params: GnnParameters, training: bool = False,
             rng: np.random.Generator | None = None) -> ForwardResult:
     """Full forward pass over a snapshot, returning per-node logits."""
     v, e, u, arrays = init_encoding(snap, params)
-    encoding = GraphEncoding([v.data.copy()], [e.data.copy()], [u.data.copy()])
     for blocks in params.layer_blocks:
         v, e, u = meta_layer(v, e, u, arrays.edge_src, arrays.edge_dst,
                              arrays.n_nodes, blocks, training, rng)
-        encoding.node_states.append(v.data.copy())
-        encoding.edge_states.append(e.data.copy())
-        encoding.global_states.append(u.data.copy())
     logits_internal = v @ params.out_w + params.out_b
     all_logits = gather_rows(logits_internal, arrays.internal_of)
-    logits = {i: gather_rows(all_logits, np.array([i])) for i in arrays.open_ids}
-    return ForwardResult(logits=logits, all_logits=all_logits,
-                         open_ids=arrays.open_ids, encoding=encoding)
+    return ForwardResult(all_logits=all_logits, open_ids=arrays.open_ids)
 
 
 @dataclass
 class ScoreResult:
     logit: dict[int, float]
-    probability: dict[int, float]
     normalized: dict[int, float]   # softmax over open nodes; sums to 1
 
 
@@ -264,13 +246,11 @@ def score(snap: dict, params: GnnParameters) -> ScoreResult:
     out = forward(snap, params, training=False)
     if not out.open_ids:
         raise ValueError("snapshot has no open molecule nodes to score")
-    raw = np.array([out.logits[i].data.item() for i in out.open_ids])
-    prob = 1.0 / (1.0 + np.exp(-raw))
+    raw = out.all_logits.data[out.open_ids, 0]
     shifted = np.exp(raw - raw.max())
     norm = shifted / shifted.sum()
     return ScoreResult(
         logit=dict(zip(out.open_ids, raw.tolist())),
-        probability=dict(zip(out.open_ids, prob.tolist())),
         normalized=dict(zip(out.open_ids, norm.tolist())),
     )
 
@@ -336,9 +316,9 @@ def pairwise_accuracy(examples, params: GnnParameters) -> float:
     correct = count = 0
     for ex in examples:
         out = forward(ex.snapshot, params, training=False)
-        raw = {i: out.logits[i].data.item() for i in out.open_ids}
-        pos = [raw[i] for i in out.open_ids if ex.labels[i] == 1]
-        neg = [raw[i] for i in out.open_ids if ex.labels[i] == 0]
+        raw = out.all_logits.data[out.open_ids, 0].tolist()
+        pos = [r for i, r in zip(out.open_ids, raw) if ex.labels[i] == 1]
+        neg = [r for i, r in zip(out.open_ids, raw) if ex.labels[i] == 0]
         for p in pos:
             for q in neg:
                 correct += p > q

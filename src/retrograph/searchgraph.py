@@ -228,10 +228,6 @@ class SearchGraph:
 
     # -- queries ------------------------------------------------------------
 
-    def hist_cost(self, v: NodeId) -> float:
-        """Cheapest directed path cost from any target to *v* (inf if none)."""
-        return self.nodes[v].hist_cost
-
     def open_nodes(self) -> set[NodeId]:
         return {n.id for n in self.nodes if n.kind == "molecule" and n.open}
 
@@ -277,8 +273,8 @@ class SearchGraph:
 
     # -- serialization -------------------------------------------------------
 
-    def snapshot(self, labels: dict[NodeId, int] | None = None) -> dict:
-        """JSON-ready structural snapshot, optionally with open-node labels."""
+    def snapshot(self) -> dict:
+        """JSON-ready structural snapshot; its ``labels`` field is None."""
         nodes = []
         for node in self.nodes:
             if not math.isfinite(node.hist_cost):
@@ -295,15 +291,14 @@ class SearchGraph:
                     "success": node.success, "hist_cost": node.hist_cost,
                 })
         edges = [[src, dst] for src in range(len(self.nodes)) for dst in self.succ[src]]
-        snap = {
+        return {
             "version": 1,
             "dedup": self.dedup,
             "nodes": nodes,
             "edges": edges,
             "targets": list(self.targets),
-            "labels": None if labels is None else {str(k): int(v) for k, v in labels.items()},
+            "labels": None,
         }
-        return snap
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "SearchGraph":

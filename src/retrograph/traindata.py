@@ -100,7 +100,7 @@ def replay_route(route: RouteTree, oracle: ExpansionOracle, inventory: Inventory
             v: 1 if graph.nodes[v].molecule in route_molecules else 0
             for v in graph.open_nodes()
         }
-        examples.append(TrainingExample(graph.snapshot(labels), labels))
+        examples.append(TrainingExample(graph.snapshot(), labels))
         if full_k:
             reactions = oracle.expand(molecule, k)
         else:
@@ -115,19 +115,18 @@ def replay_route(route: RouteTree, oracle: ExpansionOracle, inventory: Inventory
 
 
 def generate(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
-             baseline_cfg: PlanConfig, cost_model=None,
-             full_k: bool = False) -> list[TrainingExample]:
+             baseline_cfg: PlanConfig, full_k: bool = False) -> list[TrainingExample]:
     """Plan every target with the baseline, then replay each solved route.
 
     Targets are processed in sorted canonical order so the output does not
     depend on input order; failed targets emit nothing and oracle failures
     skip the target with a warning.
     """
-    canon = sorted({oracle.canonical(t) for t in targets})
+    canon = sorted(oracle.canonical_unique(targets))
     examples: list[TrainingExample] = []
     for target in canon:
         try:
-            result = plan([target], oracle, inventory, baseline_cfg, cost_model)
+            result = plan([target], oracle, inventory, baseline_cfg)
         except PlanningError as exc:
             log.warning("skipping target %r: %s", target, exc)
             continue
@@ -139,19 +138,15 @@ def generate(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
     return examples
 
 
-def split(dataset: list[TrainingExample], val_n: int, test_n: int,
-          seed: int = 0) -> tuple[list[TrainingExample], list[TrainingExample],
-                                  list[TrainingExample]]:
-    """Disjoint train/validation/test split by seeded shuffle."""
-    if val_n < 0 or test_n < 0 or val_n + test_n > len(dataset):
-        raise ValueError(
-            f"cannot carve val={val_n} and test={test_n} out of {len(dataset)} examples"
-        )
+def split(dataset: list[TrainingExample], val_n: int,
+          seed: int = 0) -> tuple[list[TrainingExample], list[TrainingExample]]:
+    """Disjoint train/validation split by seeded shuffle."""
+    if not 0 <= val_n <= len(dataset):
+        raise ValueError(f"cannot carve val={val_n} out of {len(dataset)} examples")
     order = np.random.default_rng(seed).permutation(len(dataset))
     val = [dataset[i] for i in order[:val_n]]
-    test = [dataset[i] for i in order[val_n:val_n + test_n]]
-    train = [dataset[i] for i in order[val_n + test_n:]]
-    return train, val, test
+    train = [dataset[i] for i in order[val_n:]]
+    return train, val
 
 
 def save_dataset(path: str | Path, examples: list[TrainingExample]) -> None:

@@ -411,7 +411,7 @@ def trained_network():
     data = traindata.generate(train_targets, dom, inv, GEN_CFG, full_k=True)
     assert len(data) >= 200
     data = data[:200]
-    train_set, val_set, _ = traindata.split(data, 30, 0, seed=0)
+    train_set, val_set = traindata.split(data, 30, seed=0)
     result = policygnn.train(train_set, val_set, TRAIN_HYPER, seed=0,
                              epochs=20, batch_size=32, lr=1e-4)
     return {

@@ -131,11 +131,12 @@ class TestConfigHandling:
                    "--out", str(ws / "out")) == 2
 
     def test_missing_and_empty_targets(self, ws):
-        assert run("plan", "--domain", "additive-split", "--seed", "0",
-                   "--out", str(ws / "out")) == 2
         empty = write(ws / "none.txt", "\n   \n")
-        assert run("plan", "--domain", "additive-split", "--seed", "0",
-                   "--targets", empty, "--out", str(ws / "out")) == 2
+        for command in ("plan", "batch-plan", "gen-data", "study-redundancy"):
+            args = [command, "--domain", "additive-split", "--seed", "0",
+                    "--out", str(ws / command)]
+            assert run(*args) == 2, command
+            assert run(*args, "--targets", empty) == 2, command
 
     def test_gnn_without_checkpoint(self, ws):
         assert run("plan", "--domain", "additive-split", "--cost", "gnn",
@@ -227,6 +228,21 @@ class TestWorkflow:
 
     def test_value_net_requires_checkpoint(self, ws):
         assert plan_small(ws, ["9"], "vn", "--cost", "value_net") == 2
+
+    def test_underflowing_gnn_scores_still_plan(self, ws):
+        # logits far apart make some softmax scores exactly 0.0
+        params = GnnParameters(
+            GnnHyper(hidden=16, rbf_n=32, layers=2, feature_bits=256), seed=0)
+        params.out_w.data *= 1e4
+        ckpt = ws / "sharp.bin"
+        params.save(ckpt)
+        rc = run("plan", "--domain", "additive-split",
+                 "--targets", targets_file(ws, ["97"]),
+                 "--cost", "gnn", "--checkpoint", str(ckpt),
+                 "--budget", "50", "--k", "6", "--seed", "0",
+                 "--out", str(ws / "out"))
+        assert rc in (0, 1)
+        assert (ws / "out" / "result.json").exists()
 
     def test_nan_checkpoint_is_invariant_violation(self, ws, capsys):
         params = GnnParameters(

@@ -18,11 +18,10 @@ from retrograph.costmodel import (
     ZeroCost,
     make_cost_model,
     remaining_cost_pairs,
-    score_open_nodes,
     train_value_net,
 )
-from retrograph.molspace import Inventory, Reaction
-from retrograph.planner import RouteReaction, RouteTree
+from retrograph.molspace import AdditiveSplitDomain, Inventory, Reaction
+from retrograph.planner import PlanConfig, RouteReaction, RouteTree, plan
 from retrograph.searchgraph import SearchGraph
 
 SMALL_HYPER = policygnn.GnnHyper(hidden=12, rbf_n=6, layers=2,
@@ -42,6 +41,17 @@ def two_open_graph():
     return g
 
 
+def additive_graph(expansions=6):
+    """Target 40 of the additive domain after a few cheapest-first steps."""
+    dom, inv = AdditiveSplitDomain(seed=0), Inventory.integer_range(3)
+    g = SearchGraph()
+    g.add_target("40", inv)
+    for _ in range(expansions):
+        v = min(g.open_nodes(), key=lambda n: (g.nodes[n].hist_cost, n))
+        g.propagate_update(g.merge_expand(v, dom.expand(g.nodes[v].molecule, 4), inv))
+    return g
+
+
 def zero_head_params():
     params = policygnn.GnnParameters(SMALL_HYPER, seed=0)
     params.out_w.data = np.zeros_like(params.out_w.data)
@@ -56,14 +66,6 @@ class TestZeroCost:
         assert set(costs) == g.open_nodes()
         for v, c in costs.items():
             assert c == g.nodes[v].hist_cost
-
-    def test_total_cost_validates_node(self):
-        g = two_open_graph()
-        model = ZeroCost()
-        with pytest.raises(ValueError):
-            model.total_cost(g, 0)           # T is closed
-        with pytest.raises(ValueError):
-            model.total_cost(g, 1)           # reaction node
 
     def test_nothing_to_save(self, tmp_path):
         with pytest.raises(ValueError):
@@ -159,10 +161,41 @@ class TestGnnCost:
     def test_scores_sum_to_one(self):
         g = two_open_graph()
         model = GnnCost(policygnn.GnnParameters(SMALL_HYPER, seed=3))
-        scores = score_open_nodes(model, g)
+        scores = policygnn.score(g.snapshot(), model.params).normalized
         assert set(scores) == g.open_nodes()
         assert sum(scores.values()) == pytest.approx(1.0)
         assert all(s > 0.0 for s in scores.values())
+
+    def test_price_is_hist_minus_lam_log_score(self):
+        for g in (two_open_graph(), additive_graph()):
+            for seed, lam in ((3, 1.0), (8, 0.5), (9, 2.5)):
+                params = policygnn.GnnParameters(SMALL_HYPER, seed=seed)
+                costs = GnnCost(params, lam=lam).open_costs(g)
+                scores = policygnn.score(g.snapshot(), params).normalized
+                assert set(costs) == set(scores) == g.open_nodes()
+                for v, s in scores.items():
+                    assert s > 0.0
+                    want = g.nodes[v].hist_cost - lam * math.log(s)
+                    assert costs[v] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_underflowing_scores_keep_costs_finite(self):
+        # logits far apart make some softmax scores exactly 0.0
+        params = policygnn.GnnParameters(policygnn.GnnHyper(
+            hidden=16, rbf_n=32, layers=2, feature_bits=256), seed=0)
+        params.out_w.data *= 1e4
+        seen = []
+
+        class Recording(GnnCost):
+            def open_costs(self, graph):
+                costs = super().open_costs(graph)
+                scores = policygnn.score(graph.snapshot(), self.params).normalized
+                seen.append((scores, costs))
+                return costs
+
+        plan(["97"], AdditiveSplitDomain(seed=0), Inventory.integer_range(3),
+             PlanConfig(budget=50, k=6), Recording(params))
+        assert any(0.0 in scores.values() for scores, _ in seen)
+        assert all(math.isfinite(c) for _, costs in seen for c in costs.values())
 
     def test_save_load_round_trip(self, tmp_path):
         g = two_open_graph()
@@ -174,10 +207,6 @@ class TestGnnCost:
         assert set(a) == set(b)
         for v in a:
             assert a[v] == pytest.approx(b[v], abs=1e-12)
-
-    def test_score_open_nodes_rejects_other_models(self):
-        with pytest.raises(ValueError):
-            score_open_nodes(ZeroCost(), two_open_graph())
 
 
 class TestMakeCostModel:

@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from retrograph import numerics as nm
 from retrograph.numerics import (
     AdamState,
     MlpBlock,
@@ -20,7 +19,6 @@ from retrograph.numerics import (
     gather_rows,
     kaiming_uniform,
     load_weights,
-    log,
     matmul,
     rbf,
     rbf_matrix,
@@ -28,7 +26,6 @@ from retrograph.numerics import (
     reshape,
     save_weights,
     segment_mean,
-    sigmoid,
     softplus,
     tile_rows,
     tmean,
@@ -97,10 +94,9 @@ class TestGradients:
         a[np.abs(a) < 0.05] = 0.5
         check_grads(lambda ts: tsum(relu(ts[0]) * ts[0]), [a])
 
-    def test_sigmoid_softplus_exp_log(self):
+    def test_softplus(self):
         a = RNG.uniform(0.5, 2.0, size=(2, 3))
-        check_grads(lambda ts: tsum(sigmoid(ts[0]) + softplus(ts[0])), [a])
-        check_grads(lambda ts: tsum(nm.exp(ts[0]) + log(ts[0])), [a])
+        check_grads(lambda ts: tsum(softplus(ts[0])), [a])
 
     def test_sum_axis_and_mean(self):
         a = RNG.normal(size=(3, 4))
@@ -186,9 +182,9 @@ class TestTensorBasics:
         with pytest.raises(FloatingPointError):
             Tensor(np.array([np.nan]))
         with pytest.raises(FloatingPointError):
-            log(Tensor(np.array([-1.0])))
-        with pytest.raises(FloatingPointError):
-            log(Tensor(np.array([0.0])))
+            Tensor(np.array([np.inf]))
+        with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
+            Tensor(np.array([1e308])) * 10.0
 
     def test_zero_grads(self):
         a = Tensor(np.ones(2), requires_grad=True)

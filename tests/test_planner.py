@@ -112,13 +112,10 @@ class TestPlanBasics:
         with pytest.raises(PlanningError, match="'T'"):
             plan(["T"], Broken(), Inventory(["I"]), PlanConfig(budget=3))
 
-    def test_on_iteration_callback_sees_trace(self):
+    def test_trace_records_every_iteration(self):
         dom = AdditiveSplitDomain(seed=0)
-        seen = []
-        res = plan(["6"], dom, Inventory.integer_range(3),
-                   PlanConfig(budget=10, k=5), on_iteration=seen.append)
-        assert seen == res.trace
-        assert [r.iteration for r in seen] == list(range(1, res.iterations + 1))
+        res = plan(["6"], dom, Inventory.integer_range(3), PlanConfig(budget=10, k=5))
+        assert [r.iteration for r in res.trace] == list(range(1, res.iterations + 1))
 
 
 class TestSelectionOrder:
@@ -244,11 +241,11 @@ class TestRouteExtraction:
         inv = Inventory(["I"])
         g = SearchGraph()
         t = g.add_target("T", inv)
-        g.propagate_update(g.merge_expand(t, dom.expand("T"), inv))
+        g.propagate_update(g.merge_expand(t, dom.expand("T", 5), inv))
         for key in ("X", "Y"):
             (nid,) = [n.id for n in g.nodes
                       if n.kind == "molecule" and n.molecule == key]
-            g.propagate_update(g.merge_expand(nid, dom.expand(key), inv))
+            g.propagate_update(g.merge_expand(nid, dom.expand(key, 5), inv))
         best = derivation_costs(g)
         assert best[t] == pytest.approx(1.2)
 

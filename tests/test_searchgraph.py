@@ -25,6 +25,7 @@ from retrograph.searchgraph import (
     snapshot_from_json,
     snapshot_to_json,
 )
+from retrograph.traindata import TrainingExample
 
 
 # -- independent references --------------------------------------------------
@@ -164,7 +165,7 @@ class TestHandFixture:
         expected = {0: 0.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 3.0, 5: 1.5,
                     6: 1.5, 7: 3.0, 8: 3.0}
         for nid, want in expected.items():
-            assert g.hist_cost(nid) == pytest.approx(want), f"node {nid}"
+            assert g.nodes[nid].hist_cost == pytest.approx(want), f"node {nid}"
         assert_consistent(g, exhaustive=True)
 
 
@@ -391,10 +392,13 @@ class TestSnapshots:
         assert snapshot_to_json(snapshot_from_json(text)) == text
 
     def test_labels_serialized_with_string_keys(self):
+        # a snapshot carries no labels; a dataset record fills them in
         g, inv = build_fixture()
-        snap = g.snapshot(labels={2: 1, 3: 0})
-        assert snap["labels"] == {"2": 1, "3": 0}
-        assert g.snapshot()["labels"] is None
+        snap = g.snapshot()
+        assert snap["labels"] is None
+        record = TrainingExample(snap, {2: 1, 3: 0}).to_record()
+        text = snapshot_to_json(record)
+        assert snapshot_from_json(text)["labels"] == {"2": 1, "3": 0}
 
     def test_nonfinite_hist_rejected(self):
         g, inv = build_fixture()

@@ -202,24 +202,24 @@ class TestSplit:
 
     def test_sizes_and_disjointness(self):
         data = self.dataset(10)
-        train, val, test = split(data, 3, 2, seed=0)
-        assert (len(train), len(val), len(test)) == (5, 3, 2)
-        ids = [id(ex) for part in (train, val, test) for ex in part]
+        train, val = split(data, 3, seed=0)
+        assert (len(train), len(val)) == (7, 3)
+        ids = [id(ex) for part in (train, val) for ex in part]
         assert sorted(ids) == sorted(id(ex) for ex in data)
 
     def test_deterministic(self):
         data = self.dataset(8)
-        a = split(data, 2, 2, seed=4)
-        b = split(data, 2, 2, seed=4)
+        a = split(data, 2, seed=4)
+        b = split(data, 2, seed=4)
         assert all([id(x) for x in pa] == [id(y) for y in pb]
                    for pa, pb in zip(a, b))
 
     def test_validation(self):
         data = self.dataset(4)
         with pytest.raises(ValueError):
-            split(data, 3, 2, seed=0)
+            split(data, 5, seed=0)
         with pytest.raises(ValueError):
-            split(data, -1, 0, seed=0)
+            split(data, -1, seed=0)
 
 
 class TestDatasetFiles:
