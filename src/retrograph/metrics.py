@@ -55,15 +55,16 @@ class RedundancyPoint:
 @dataclass
 class RedundancyStudy:
     points: list[RedundancyPoint]
-    slope: float
-    intercept: float
-    r_squared: float
+    slope: float | None
+    intercept: float | None
+    r_squared: float | None
     mean_ratio: float
 
 
 def redundancy_study(traces: list[RunTrace]) -> RedundancyStudy:
     """Per-run (expanded nodes, unique molecules) points with a
-    least-squares fit of unique against expanded."""
+    least-squares fit of unique against expanded. The fit is None when
+    every run expanded the same number of nodes."""
     if len(traces) < 2:
         raise ValueError("redundancy_study needs at least two traces")
     points = []
@@ -77,17 +78,18 @@ def redundancy_study(traces: list[RunTrace]) -> RedundancyStudy:
     xs = [p.expanded for p in points]
     ys = [p.unique for p in points]
     n = len(points)
+    mean_ratio = sum(p.unique / p.expanded for p in points) / n
     mx = sum(xs) / n
     my = sum(ys) / n
     sxx = sum((x - mx) ** 2 for x in xs)
     if sxx == 0.0:
-        raise ValueError("redundancy_study needs variation in expanded counts")
+        return RedundancyStudy(points=points, slope=None, intercept=None,
+                               r_squared=None, mean_ratio=mean_ratio)
     slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
     intercept = my - slope * mx
     ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     ss_tot = sum((y - my) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
-    mean_ratio = sum(p.unique / p.expanded for p in points) / n
     return RedundancyStudy(points=points, slope=slope, intercept=intercept,
                            r_squared=r_squared, mean_ratio=mean_ratio)
 

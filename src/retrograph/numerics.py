@@ -184,18 +184,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis), pulls=pulls)
 
 
-def vstack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors along axis 0."""
-    sizes = [t.data.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_pull(i: int) -> Pull:
-        return lambda g: g[int(offsets[i]):int(offsets[i + 1])]
-
-    pulls = tuple((t, make_pull(i)) for i, t in enumerate(tensors))
-    return Tensor(np.concatenate([t.data for t in tensors], axis=0), pulls=pulls)
-
-
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
 

@@ -10,7 +10,6 @@ in one shared graph so common intermediates are expanded once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -250,50 +249,17 @@ def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
     )
 
 
-def derivation_costs(graph: SearchGraph) -> dict[NodeId, float]:
-    """Minimal total reaction cost proving each successful node from the
-    inventory, by monotone value iteration over the successful subgraph."""
-    best: dict[NodeId, float] = {}
-    for node in graph.nodes:
-        if node.kind == "molecule" and node.in_inventory:
-            best[node.id] = 0.0
-    successful = [n for n in graph.nodes if n.success]
-    for _ in range(len(successful) + 1):
-        changed = False
-        for node in successful:
-            if node.kind == "reaction":
-                children = graph.succ[node.id]
-                if all(c in best for c in children):
-                    val = node.reaction_cost + sum(best[c] for c in children)
-                else:
-                    continue
-            elif node.in_inventory:
-                continue
-            else:
-                vals = [best[r] for r in graph.succ[node.id] if r in best]
-                if not vals:
-                    continue
-                val = min(vals)
-            if val < best.get(node.id, math.inf):
-                best[node.id] = val
-                changed = True
-        if not changed:
-            return best
-    raise ContractViolation("derivation-cost iteration failed to converge")
-
-
 def extract_route(graph: SearchGraph, target: NodeId) -> RouteTree:
     """Cheapest proof tree below a successful molecule node.
 
-    At each molecule the successful reaction with the lowest derivation
-    cost is chosen; positive costs make those choices strictly decreasing,
-    so the descent cannot revisit the current path. The path set is still
-    tracked and any candidate that would close a cycle is skipped.
+    At each molecule the successful reaction with the lowest proof cost is
+    chosen; positive costs make those choices strictly decreasing, so the
+    descent cannot revisit the current path. The path set is still tracked
+    and any candidate that would close a cycle is skipped.
     """
     root = graph.nodes[target]
     if root.kind != "molecule" or not root.success:
         raise PlanningError(f"node {target} is not a successful molecule node")
-    best = derivation_costs(graph)
 
     def build(nid: NodeId, path: frozenset[NodeId]) -> RouteTree:
         node = graph.nodes[nid]
@@ -301,8 +267,8 @@ def extract_route(graph: SearchGraph, target: NodeId) -> RouteTree:
             return RouteTree(node.molecule, None)
         extended = path | {nid}
         options = sorted(
-            (best[r], r) for r in graph.succ[nid]
-            if graph.nodes[r].success and r in best
+            (graph.nodes[r].proof_cost, r) for r in graph.succ[nid]
+            if graph.nodes[r].success
         )
         for _, rid in options:
             children = graph.succ[rid]
@@ -342,7 +308,10 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0,
         centroids = np.concatenate([distinct, distinct[extra]])
     assign: np.ndarray | None = None
     for _ in range(max_iterations):
-        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        # one cluster at a time keeps memory at N x dim, not N x k x dim
+        d2 = np.empty((n, k))
+        for c in range(k):
+            d2[:, c] = ((pts - centroids[c]) ** 2).sum(axis=1)
         new_assign = d2.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break

@@ -18,7 +18,7 @@ from . import numerics as nm
 from .molspace import features
 from .numerics import (AdamState, MlpBlock, Tensor, concat, gather_rows,
                        rbf_matrix, relu, reshape, segment_mean, softplus,
-                       tile_rows, tmean, vstack, zero_grads)
+                       tile_rows, tmean, zero_grads)
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def init_encoding(snap: dict, params: GnnParameters) -> tuple[Tensor, Tensor, Te
     v_mol = concat([Tensor(emb(arrays.mol_hist)), proj], axis=1)
     v_rxn = Tensor(np.concatenate([emb(arrays.rxn_hist), emb(arrays.rxn_cost)], axis=1)
                    if arrays.rxn_ids else np.zeros((0, hy.node_init_width)))
-    v0 = vstack([v_mol, v_rxn])
+    v0 = concat([v_mol, v_rxn], axis=0)
     e0 = gather_rows(params.edge_emb, arrays.edge_dir)
     u0 = Tensor(np.zeros((1, hy.hidden)))
     return v0, e0, u0, arrays

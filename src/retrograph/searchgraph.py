@@ -7,10 +7,13 @@ node, so intermediates discovered under one target are shared by every other
 path that needs them. Disabling the memory (``dedup=False``) reproduces the
 tree-search baseline where every reactant occurrence gets a fresh node.
 
-Success is the least fixpoint of the AND-OR recursion seeded by the
-inventory, so cycles introduced by sharing can never prove themselves.
-Historical cost of a node is the cheapest directed path from any target,
-summing reaction costs along the way.
+Proof cost is the cheapest proof of a node from the inventory: 0 for an
+inventory molecule, a reaction's cost plus its reactants' proof costs, the
+minimum over an expanded molecule's reactions, and INF while unproved. It is
+the greatest fixpoint of that recursion, reached from INF downward, so cycles
+introduced by sharing can never prove themselves; a node succeeds exactly
+when its proof cost is finite. Historical cost of a node is the cheapest
+directed path from any target, summing reaction costs along the way.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ class MoleculeNode:
     open: bool
     success: bool
     hist_cost: float
+    proof_cost: float
     in_inventory: bool
 
     kind = "molecule"
@@ -50,6 +54,7 @@ class ReactionNode:
     reaction_cost: float
     success: bool
     hist_cost: float
+    proof_cost: float
 
     kind = "reaction"
 
@@ -82,7 +87,8 @@ class SearchGraph:
         in_inv = molecule in inventory
         self._new_node(MoleculeNode(
             id=nid, molecule=molecule, open=not in_inv, success=in_inv,
-            hist_cost=hist_cost, in_inventory=in_inv,
+            hist_cost=hist_cost, proof_cost=0.0 if in_inv else INF,
+            in_inventory=in_inv,
         ))
         if self.dedup:
             self.memory[molecule] = nid
@@ -133,7 +139,7 @@ class SearchGraph:
             rid = len(self.nodes)
             self._new_node(ReactionNode(
                 id=rid, reaction_cost=rxn.cost, success=False,
-                hist_cost=node.hist_cost + rxn.cost,
+                hist_cost=node.hist_cost + rxn.cost, proof_cost=INF,
             ))
             self._add_edge(v, rid)
             for mol in sorted(rxn.reactants):
@@ -160,25 +166,39 @@ class SearchGraph:
             return all(self.nodes[c].success for c in children)
         return node.in_inventory or any(self.nodes[r].success for r in self.succ[nid])
 
+    def _local_proof_cost(self, nid: NodeId) -> float:
+        node = self.nodes[nid]
+        if node.kind == "reaction":
+            children = self.succ[nid]
+            if not children:
+                raise ContractViolation(f"reaction node {nid} has no reactants")
+            return node.reaction_cost + sum(self.nodes[c].proof_cost for c in children)
+        if node.in_inventory:
+            return 0.0
+        return min((self.nodes[r].proof_cost for r in self.succ[nid]), default=INF)
+
     def propagate_update(self, affected: Iterable[NodeId]) -> None:
-        """Bring success flags and historical costs back to fixpoint after an
-        expansion, touching only the predecessor/successor closure of the
-        affected set."""
+        """Bring proof costs, success flags and historical costs back to
+        fixpoint after an expansion, touching only the predecessor/successor
+        closure of the affected set."""
         self._relax_from(affected)
+        # proof cost only decreases; push decreases along predecessor edges
         queue = deque(affected)
         queued = set(queue)
         while queue:
             nid = queue.popleft()
             queued.discard(nid)
-            new = self._local_success(nid)
+            new = self._local_proof_cost(nid)
             node = self.nodes[nid]
-            if new == node.success:
+            if new == node.proof_cost:
                 continue
-            if node.success and not new:
+            if new > node.proof_cost:
                 raise ContractViolation(
-                    f"success of node {nid} flipped true->false during propagation"
+                    f"proof cost of node {nid} rose from {node.proof_cost} to {new} "
+                    f"during propagation"
                 )
-            node.success = new
+            node.proof_cost = new
+            node.success = True
             for p in self.pred[nid]:
                 if p not in queued:
                     queue.append(p)
@@ -244,6 +264,11 @@ class SearchGraph:
         """Structural sanity sweep; raises ContractViolation on breakage."""
         seen: dict[MoleculeId, NodeId] = {}
         for node in self.nodes:
+            if node.success != (node.proof_cost < INF):
+                raise ContractViolation(
+                    f"node {node.id} has success {node.success} but proof cost "
+                    f"{node.proof_cost}"
+                )
             for s in self.succ[node.id]:
                 if self.nodes[s].kind == node.kind:
                     raise ContractViolation(f"edge {node.id}->{s} is not bipartite")
@@ -299,30 +324,6 @@ class SearchGraph:
             "targets": list(self.targets),
             "labels": None,
         }
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "SearchGraph":
-        if snap.get("version") != 1:
-            raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
-        g = cls(dedup=bool(snap["dedup"]))
-        for i, rec in enumerate(snap["nodes"]):
-            if rec["kind"] == "molecule":
-                g._new_node(MoleculeNode(
-                    id=i, molecule=rec["key"], open=rec["open"],
-                    success=rec["success"], hist_cost=rec["hist_cost"],
-                    in_inventory=rec["in_inventory"],
-                ))
-                if g.dedup:
-                    g.memory[rec["key"]] = i
-            else:
-                g._new_node(ReactionNode(
-                    id=i, reaction_cost=rec["cost"], success=rec["success"],
-                    hist_cost=rec["hist_cost"],
-                ))
-        for src, dst in snap["edges"]:
-            g._add_edge(src, dst)
-        g.targets = list(snap["targets"])
-        return g
 
 
 def snapshot_to_json(snap: dict) -> str:

@@ -2,9 +2,9 @@
 line each.
 
 References here are written independently of the library code they check:
-a full-sweep success fixpoint, exhaustive simple-path cost enumeration,
-central finite differences, and hand-built planning families whose
-behavior was derived on paper. Benchmark target sets are fixed by seed so
+a full-sweep success fixpoint, full-sweep value iteration for proof costs,
+exhaustive simple-path cost enumeration, central finite differences, and
+hand-built planning families whose behavior was derived on paper. Benchmark target sets are fixed by seed so
 every run checks identical inputs. Each test enforces its own wall-clock
 budget.
 """
@@ -28,7 +28,6 @@ from retrograph.numerics import Tensor, rbf
 from retrograph.planner import (
     PlanConfig,
     batch_plan,
-    derivation_costs,
     extract_route,
     plan,
     select_next,
@@ -62,6 +61,32 @@ def fixpoint_success(g):
             if new:
                 flag[i] = changed = True
     return flag
+
+
+def fixpoint_proof_cost(g):
+    """Cheapest inventory-terminated proof of every node by repeated full
+    sweeps downward from INF; reactants are summed in edge order."""
+    n = len(g.nodes)
+    cost = [0.0 if g.nodes[i].kind == "molecule" and g.nodes[i].in_inventory
+            else INF for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            node = g.nodes[i]
+            if node.kind == "reaction":
+                total = 0.0
+                for c in g.succ[i]:
+                    total = total + cost[c]
+                new = node.reaction_cost + total
+            elif node.in_inventory:
+                continue
+            else:
+                new = min([cost[r] for r in g.succ[i]] + [INF])
+            if new < cost[i]:
+                cost[i] = new
+                changed = True
+    return cost
 
 
 def simple_path_hist(g):
@@ -194,11 +219,12 @@ class TestSuccessFixpoint:
             assert len(g.nodes) <= 200
             assert [n.success for n in g.nodes] == fixpoint_success(g)
             cyclic += has_cycle(g)
-            # success always comes with an inventory-terminated derivation
-            best = derivation_costs(g)
+            # each node keeps the cost of its cheapest inventory-terminated
+            # proof, so success always comes with a finite one
+            ref = fixpoint_proof_cost(g)
             for node in g.nodes:
-                if node.success:
-                    assert best[node.id] < INF
+                assert node.proof_cost == ref[node.id]
+                assert node.success == (ref[node.id] < INF)
             for tid in set(g.targets):
                 if g.nodes[tid].success:
                     validate_route(extract_route(g, tid), inv)

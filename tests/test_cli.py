@@ -319,6 +319,19 @@ class TestStudyRedundancy:
         assert "T1,graph,4,4" in rows
         assert len(rows) == 5
 
+    def test_equal_expanded_counts_give_null_fit(self, ws):
+        # both targets spend the whole budget in both modes: no line to fit
+        assert run("study-redundancy", "--domain", "additive-split",
+                   "--targets", targets_file(ws, ["101", "103"]),
+                   "--budget", "30", "--k", "6", "--seed", "0",
+                   "--out", str(ws / "study")) == 0
+        summary = json.loads((ws / "study" / "summary.json").read_text())
+        for mode, mean_ratio in (("graph", 1.0), ("tree", (24 / 30 + 26 / 30) / 2)):
+            assert summary[mode] == {
+                "slope": None, "intercept": None, "r_squared": None,
+                "mean_ratio": pytest.approx(mean_ratio), "runs": 2,
+            }
+
     def test_single_target_rejected(self, ws):
         args = self.study_args(ws, ["T1"])
         assert run(*args) == 2

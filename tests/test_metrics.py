@@ -116,8 +116,10 @@ class TestRedundancyStudy:
             redundancy_study([trace(["a"])])
         with pytest.raises(ValueError):
             redundancy_study([trace(["a"]), []])
-        with pytest.raises(ValueError, match="variation"):
-            redundancy_study([trace(["a", "b"]), trace(["c", "c"])])
+        # equal expanded counts leave the fit undefined, not an error
+        study = redundancy_study([trace(["a", "b"]), trace(["c", "c"])])
+        assert (study.slope, study.intercept, study.r_squared) == (None, None, None)
+        assert study.mean_ratio == 0.75
 
 
 def leaf(m):

@@ -30,7 +30,6 @@ from retrograph.numerics import (
     tile_rows,
     tmean,
     tsum,
-    vstack,
     zero_grads,
 )
 
@@ -109,7 +108,7 @@ class TestGradients:
         b = RNG.normal(size=(2, 2))
         check_grads(lambda ts: tsum(concat([ts[0], ts[1]], axis=1) * 1.5), [a, b])
         c = RNG.normal(size=(3, 3))
-        check_grads(lambda ts: tsum(vstack([ts[0], ts[1]]) * ts[2]),
+        check_grads(lambda ts: tsum(concat([ts[0], ts[1]], axis=0) * ts[2]),
                     [a[:, :3].copy() if a.shape[1] >= 3 else a, c,
                      RNG.normal(size=(5, 3))])
 

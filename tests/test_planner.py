@@ -6,6 +6,7 @@ against an independent memoized recursion.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from retrograph.planner import (
     RouteReaction,
     RouteTree,
     batch_plan,
-    derivation_costs,
     extract_route,
     kmeans,
     plan,
@@ -232,6 +232,7 @@ class TestRouteExtraction:
         assert stats.cost == pytest.approx(6.0)
 
     def test_derivation_costs_on_fixture(self):
+        # proof costs: X 0.1 + 5.0, Y 0.2 + 1.0; T takes the cheaper
         dom = table(
             ("T", {"X"}, 5.0),
             ("T", {"Y"}, 1.0),
@@ -246,8 +247,9 @@ class TestRouteExtraction:
             (nid,) = [n.id for n in g.nodes
                       if n.kind == "molecule" and n.molecule == key]
             g.propagate_update(g.merge_expand(nid, dom.expand(key, 5), inv))
-        best = derivation_costs(g)
-        assert best[t] == pytest.approx(1.2)
+        assert g.nodes[t].proof_cost == pytest.approx(1.2)
+        route = extract_route(g, t)
+        assert route.reaction.children[0].molecule == "Y"
 
 
 class TestValidateRoute:
@@ -330,6 +332,18 @@ class TestKmeans:
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(40, 4))
         np.testing.assert_array_equal(kmeans(pts, 5, seed=9), kmeans(pts, 5, seed=9))
+
+    def test_distances_one_cluster_at_a_time(self):
+        # no N x k x bits array: peak memory stays a few copies of the points
+        n, bits, k = 200, 2048, 8
+        pts = np.random.default_rng(3).integers(0, 2, size=(n, bits)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            kmeans(pts, k, seed=0, max_iterations=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * bits * 8 * 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
