@@ -295,10 +295,7 @@ def cmd_study_redundancy(cfg: RunConfig) -> int:
     metrics.write_redundancy_csv(out / "redundancy.csv", rows)
     summary = {"version": 1, "command": "study-redundancy"}
     for mode in ("graph", "tree"):
-        try:
-            study = metrics.redundancy_study(traces[mode])
-        except ValueError as exc:
-            raise ConfigError(f"{mode} mode: {exc}") from exc
+        study = metrics.redundancy_study(traces[mode])
         summary[mode] = {
             "slope": study.slope, "intercept": study.intercept,
             "r_squared": study.r_squared, "mean_ratio": study.mean_ratio,

@@ -58,15 +58,14 @@ class RedundancyStudy:
     slope: float | None
     intercept: float | None
     r_squared: float | None
-    mean_ratio: float
+    mean_ratio: float | None
 
 
 def redundancy_study(traces: list[RunTrace]) -> RedundancyStudy:
     """Per-run (expanded nodes, unique molecules) points with a
     least-squares fit of unique against expanded. The fit is None when
-    every run expanded the same number of nodes."""
-    if len(traces) < 2:
-        raise ValueError("redundancy_study needs at least two traces")
+    there are fewer than two runs or every run expanded the same number of
+    nodes; the mean ratio is None when there are no runs."""
     points = []
     for trace in traces:
         if not trace:
@@ -75,6 +74,9 @@ def redundancy_study(traces: list[RunTrace]) -> RedundancyStudy:
             expanded=len(trace),
             unique=len({rec.expanded for rec in trace}),
         ))
+    if not points:
+        return RedundancyStudy(points=points, slope=None, intercept=None,
+                               r_squared=None, mean_ratio=None)
     xs = [p.expanded for p in points]
     ys = [p.unique for p in points]
     n = len(points)

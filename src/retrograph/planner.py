@@ -1,11 +1,12 @@
 """Planning loop over the AND-OR search graph.
 
 Each iteration selects the cheapest open molecule node under the active
-cost model, expands it through the oracle, merges the reactions into the
-graph, and propagates success and cost updates. The loop stops when the
-budget is spent, every target is proved, or nothing is left to expand.
-Batch planning clusters targets by feature similarity and plans each batch
-in one shared graph so common intermediates are expanded once.
+cost model, expands it through the oracle, and merges the reactions into
+the graph, which brings proof and historical costs back to fixpoint. The
+loop stops when the budget is spent, every target is proved, or nothing is
+left to expand. Batch planning clusters targets by feature similarity and
+plans each batch in one shared graph so common intermediates are expanded
+once.
 """
 
 from __future__ import annotations
@@ -220,8 +221,7 @@ def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
             reactions = oracle.expand(molecule, cfg.k)
         except Exception as exc:
             raise PlanningError(f"oracle failed expanding {molecule!r}: {exc}") from exc
-        affected = graph.merge_expand(v, reactions, inventory)
-        graph.propagate_update(affected)
+        graph.merge_expand(v, reactions, inventory)
         iterations += 1
         for t in tids:
             if t not in first and graph.nodes[t].success:

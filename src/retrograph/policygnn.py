@@ -352,14 +352,14 @@ def train(train_set, val_set, hyper: GnnHyper, seed: int = 0, epochs: int = 20,
             batch = [train_set[i] for i in order[start:start + batch_size]]
             drop_rng = np.random.default_rng([seed, 7, epoch, step])
             zero_grads(params.tensors())
-            batch_total = None
             for ex in batch:
                 t, b, r = example_loss(ex, params, training=True, rng=drop_rng)
                 sums["bce"] += b.data.item()
                 sums["rank"] += r.data.item()
                 sums["total"] += t.data.item()
-                batch_total = t if batch_total is None else batch_total + t
-            (batch_total * (1.0 / len(batch))).backward()
+                # one backward per example frees its tape before the next is
+                # built; gradients accumulate on the parameters until the step
+                (t * (1.0 / len(batch))).backward()
             adam.step()
         val = evaluate(val_set, params)
         row = {

@@ -14,6 +14,11 @@ the greatest fixpoint of that recursion, reached from INF downward, so cycles
 introduced by sharing can never prove themselves; a node succeeds exactly
 when its proof cost is finite. Historical cost of a node is the cheapest
 directed path from any target, summing reaction costs along the way.
+
+Both are derived values, stored once per node. Outside the from-scratch
+``recompute_*`` references, only :meth:`SearchGraph.propagate_update` writes
+them, apart from the 0 seed of a new target. Every public mutation leaves
+the graph at fixpoint, so callers never restore it.
 """
 
 from __future__ import annotations
@@ -40,23 +45,29 @@ class MoleculeNode:
     id: NodeId
     molecule: MoleculeId
     open: bool
-    success: bool
     hist_cost: float
     proof_cost: float
     in_inventory: bool
 
     kind = "molecule"
 
+    @property
+    def success(self) -> bool:
+        return self.proof_cost < INF
+
 
 @dataclass
 class ReactionNode:
     id: NodeId
     reaction_cost: float
-    success: bool
     hist_cost: float
     proof_cost: float
 
     kind = "reaction"
+
+    @property
+    def success(self) -> bool:
+        return self.proof_cost < INF
 
 
 Node = MoleculeNode | ReactionNode
@@ -81,14 +92,12 @@ class SearchGraph:
         self.pred.append([])
         return node.id
 
-    def _new_molecule(self, molecule: MoleculeId, inventory: Inventory,
-                      hist_cost: float) -> NodeId:
+    def _new_molecule(self, molecule: MoleculeId, inventory: Inventory) -> NodeId:
         nid = len(self.nodes)
         in_inv = molecule in inventory
         self._new_node(MoleculeNode(
-            id=nid, molecule=molecule, open=not in_inv, success=in_inv,
-            hist_cost=hist_cost, proof_cost=0.0 if in_inv else INF,
-            in_inventory=in_inv,
+            id=nid, molecule=molecule, open=not in_inv, hist_cost=INF,
+            proof_cost=0.0 if in_inv else INF, in_inventory=in_inv,
         ))
         if self.dedup:
             self.memory[molecule] = nid
@@ -105,7 +114,7 @@ class SearchGraph:
         if self.dedup and molecule in self.memory:
             nid = self.memory[molecule]
         else:
-            nid = self._new_molecule(molecule, inventory, hist_cost=0.0)
+            nid = self._new_molecule(molecule, inventory)
         if nid not in self.targets:
             self.targets.append(nid)
         if self.nodes[nid].hist_cost > 0.0:
@@ -114,14 +123,14 @@ class SearchGraph:
         return nid
 
     def merge_expand(self, v: NodeId, reactions: Iterable[Reaction],
-                     inventory: Inventory) -> set[NodeId]:
+                     inventory: Inventory) -> None:
         """Expand open molecule node *v* with the oracle's reactions.
 
         One reaction node per reaction; reactant molecules are looked up in
         the memory first (graph mode) so nothing is duplicated. An empty
-        reaction list closes *v* as a permanent dead end. Returns the set of
-        node ids whose status may have changed; pass it to
-        :meth:`propagate_update`.
+        reaction list closes *v* as a permanent dead end. Only nodes and
+        edges are added here; :meth:`propagate_update` then brings proof and
+        historical costs back to fixpoint before this returns.
         """
         node = self.nodes[v]
         if node.kind != "molecule" or not node.open:
@@ -138,33 +147,20 @@ class SearchGraph:
                 )
             rid = len(self.nodes)
             self._new_node(ReactionNode(
-                id=rid, reaction_cost=rxn.cost, success=False,
-                hist_cost=node.hist_cost + rxn.cost, proof_cost=INF,
+                id=rid, reaction_cost=rxn.cost, hist_cost=INF, proof_cost=INF,
             ))
             self._add_edge(v, rid)
             for mol in sorted(rxn.reactants):
                 if self.dedup and mol in self.memory:
                     mid = self.memory[mol]
-                    cand = self.nodes[rid].hist_cost
-                    if cand < self.nodes[mid].hist_cost:
-                        self.nodes[mid].hist_cost = cand
                 else:
-                    mid = self._new_molecule(mol, inventory, self.nodes[rid].hist_cost)
+                    mid = self._new_molecule(mol, inventory)
                 self._add_edge(rid, mid)
                 affected.add(mid)
             affected.add(rid)
-        return affected
+        self.propagate_update(affected)
 
     # -- incremental maintenance ------------------------------------------
-
-    def _local_success(self, nid: NodeId) -> bool:
-        node = self.nodes[nid]
-        if node.kind == "reaction":
-            children = self.succ[nid]
-            if not children:
-                raise ContractViolation(f"reaction node {nid} has no reactants")
-            return all(self.nodes[c].success for c in children)
-        return node.in_inventory or any(self.nodes[r].success for r in self.succ[nid])
 
     def _local_proof_cost(self, nid: NodeId) -> float:
         node = self.nodes[nid]
@@ -178,9 +174,10 @@ class SearchGraph:
         return min((self.nodes[r].proof_cost for r in self.succ[nid]), default=INF)
 
     def propagate_update(self, affected: Iterable[NodeId]) -> None:
-        """Bring proof costs, success flags and historical costs back to
-        fixpoint after an expansion, touching only the predecessor/successor
-        closure of the affected set."""
+        """Bring historical and proof costs back to fixpoint after a
+        structural change, touching only the successor/predecessor closure of
+        the affected set. The only writer of both, apart from the 0 seed of a
+        new target; :meth:`merge_expand` calls it on the nodes it touched."""
         self._relax_from(affected)
         # proof cost only decreases; push decreases along predecessor edges
         queue = deque(affected)
@@ -198,7 +195,6 @@ class SearchGraph:
                     f"during propagation"
                 )
             node.proof_cost = new
-            node.success = True
             for p in self.pred[nid]:
                 if p not in queued:
                     queue.append(p)
@@ -225,17 +221,18 @@ class SearchGraph:
 
     # -- full recomputation (reference implementations) --------------------
 
-    def recompute_success(self) -> None:
-        """From-scratch least fixpoint: everything false except the inventory,
-        then grow monotonically until stable."""
+    def recompute_proof_costs(self) -> None:
+        """From-scratch greatest fixpoint: every proof cost INF, then sweep
+        every node down to its local value until nothing changes."""
         for node in self.nodes:
-            node.success = node.kind == "molecule" and node.in_inventory
+            node.proof_cost = INF
         changed = True
         while changed:
             changed = False
             for node in self.nodes:
-                if not node.success and self._local_success(node.id):
-                    node.success = True
+                new = self._local_proof_cost(node.id)
+                if new < node.proof_cost:
+                    node.proof_cost = new
                     changed = True
 
     def recompute_hist_costs(self) -> None:
@@ -264,11 +261,6 @@ class SearchGraph:
         """Structural sanity sweep; raises ContractViolation on breakage."""
         seen: dict[MoleculeId, NodeId] = {}
         for node in self.nodes:
-            if node.success != (node.proof_cost < INF):
-                raise ContractViolation(
-                    f"node {node.id} has success {node.success} but proof cost "
-                    f"{node.proof_cost}"
-                )
             for s in self.succ[node.id]:
                 if self.nodes[s].kind == node.kind:
                     raise ContractViolation(f"edge {node.id}->{s} is not bipartite")

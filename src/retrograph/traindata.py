@@ -105,8 +105,7 @@ def replay_route(route: RouteTree, oracle: ExpansionOracle, inventory: Inventory
             reactions = oracle.expand(molecule, k)
         else:
             reactions = [route_reactions[molecule]]
-        affected = graph.merge_expand(nid, reactions, inventory)
-        graph.propagate_update(affected)
+        graph.merge_expand(nid, reactions, inventory)
     if not graph.nodes[tid].success:
         raise PlanningError(
             f"replaying the route for {route.molecule!r} did not prove it"

@@ -152,8 +152,7 @@ def drive(g, dom, inv, rng, *, node_cap=190, second_target=None):
     while g.open_nodes() and len(g.nodes) < node_cap:
         opens = sorted(g.open_nodes())
         v = opens[int(rng.integers(len(opens)))]
-        aff = g.merge_expand(v, dom.expand(g.nodes[v].molecule, 10), inv)
-        g.propagate_update(aff)
+        g.merge_expand(v, dom.expand(g.nodes[v].molecule, 10), inv)
         steps += 1
         if steps == 4 and second_target is not None:
             g.add_target(second_target, inv)
@@ -185,8 +184,7 @@ class TestDedupExactness:
             while g.open_nodes() and len(g.nodes) < 400:
                 v = select_next(g, ZeroCost())
                 expanded.append(g.nodes[v].molecule)
-                aff = g.merge_expand(v, dom.expand(g.nodes[v].molecule, 8), inv)
-                g.propagate_update(aff)
+                g.merge_expand(v, dom.expand(g.nodes[v].molecule, 8), inv)
                 mols = [n.molecule for n in g.nodes if n.kind == "molecule"]
                 assert g.molecule_count() == len(mols) == len(set(mols))
                 checked += 1
@@ -356,8 +354,7 @@ def random_labeled_snapshot(rng):
     while g.open_nodes() and len(g.nodes) <= 4:
         opens = sorted(g.open_nodes())
         v = opens[int(rng.integers(len(opens)))]
-        g.propagate_update(g.merge_expand(v, dom.expand(g.nodes[v].molecule, 4),
-                                          inv))
+        g.merge_expand(v, dom.expand(g.nodes[v].molecule, 4), inv)
     snap = g.snapshot()
     open_ids = [i for i, nd in enumerate(snap["nodes"])
                 if nd["kind"] == "molecule" and nd["open"]]
@@ -522,8 +519,7 @@ class TestClosedForms:
         g.add_target("19", inv)
         while g.open_nodes() and len(g.nodes) < 40:
             v = select_next(g, ZeroCost())
-            g.propagate_update(
-                g.merge_expand(v, dom.expand(g.nodes[v].molecule, 6), inv))
+            g.merge_expand(v, dom.expand(g.nodes[v].molecule, 6), inv)
         params = policygnn.GnnParameters(FD_HYPER, seed=3)
         scores = policygnn.score(g.snapshot(), params).normalized
         assert scores

@@ -332,6 +332,19 @@ class TestStudyRedundancy:
                 "mean_ratio": pytest.approx(mean_ratio), "runs": 2,
             }
 
+    def test_inventory_target_leaves_one_run(self, ws):
+        # target 2 is in the inventory: it plans no iteration and adds no run
+        assert run("study-redundancy", "--domain", "additive-split",
+                   "--targets", targets_file(ws, ["2", "101"]),
+                   "--budget", "30", "--k", "6", "--seed", "0",
+                   "--out", str(ws / "study")) == 0
+        summary = json.loads((ws / "study" / "summary.json").read_text())
+        for mode in ("graph", "tree"):
+            assert summary[mode]["runs"] == 1
+            assert summary[mode]["slope"] is None
+        rows = (ws / "study" / "redundancy.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["101", "101"]
+
     def test_single_target_rejected(self, ws):
         args = self.study_args(ws, ["T1"])
         assert run(*args) == 2

@@ -33,11 +33,10 @@ def two_open_graph():
     inv = Inventory(["I"])
     g = SearchGraph()
     t = g.add_target("T", inv)
-    aff = g.merge_expand(t, [
+    g.merge_expand(t, [
         Reaction("T", frozenset({"A"}), 1.0),
         Reaction("T", frozenset({"B"}), 2.0),
     ], inv)
-    g.propagate_update(aff)
     return g
 
 
@@ -48,7 +47,7 @@ def additive_graph(expansions=6):
     g.add_target("40", inv)
     for _ in range(expansions):
         v = min(g.open_nodes(), key=lambda n: (g.nodes[n].hist_cost, n))
-        g.propagate_update(g.merge_expand(v, dom.expand(g.nodes[v].molecule, 4), inv))
+        g.merge_expand(v, dom.expand(g.nodes[v].molecule, 4), inv)
     return g
 
 

@@ -112,8 +112,13 @@ class TestRedundancyStudy:
         assert study.mean_ratio == 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            redundancy_study([trace(["a"])])
+        # one run has no line to fit; no runs have no mean ratio either
+        study = redundancy_study([trace(["a"])])
+        assert (study.slope, study.intercept, study.r_squared) == (None, None, None)
+        assert study.mean_ratio == 1.0
+        study = redundancy_study([])
+        assert study.points == [] and study.mean_ratio is None
+        assert (study.slope, study.intercept, study.r_squared) == (None, None, None)
         with pytest.raises(ValueError):
             redundancy_study([trace(["a"]), []])
         # equal expanded counts leave the fit undefined, not an error

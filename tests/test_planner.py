@@ -216,14 +216,13 @@ class TestRouteExtraction:
         inv = Inventory(["Z"])
         g = SearchGraph()
         a = g.add_target("A", inv)
-        g.propagate_update(g.merge_expand(
-            a, [Reaction("A", frozenset({"B"}), 1.0)], inv))
+        g.merge_expand(a, [Reaction("A", frozenset({"B"}), 1.0)], inv)
         (b,) = [n.id for n in g.nodes
                 if n.kind == "molecule" and n.molecule == "B"]
-        g.propagate_update(g.merge_expand(b, [
+        g.merge_expand(b, [
             Reaction("B", frozenset({"A"}), 0.25),
             Reaction("B", frozenset({"Z"}), 5.0),
-        ], inv))
+        ], inv)
         route = extract_route(g, a)
         validate_route(route, inv)
         # chain A -> B -> Z, total 6.0; the cheap back-edge is self-referential
@@ -242,11 +241,11 @@ class TestRouteExtraction:
         inv = Inventory(["I"])
         g = SearchGraph()
         t = g.add_target("T", inv)
-        g.propagate_update(g.merge_expand(t, dom.expand("T", 5), inv))
+        g.merge_expand(t, dom.expand("T", 5), inv)
         for key in ("X", "Y"):
             (nid,) = [n.id for n in g.nodes
                       if n.kind == "molecule" and n.molecule == key]
-            g.propagate_update(g.merge_expand(nid, dom.expand(key, 5), inv))
+            g.merge_expand(nid, dom.expand(key, 5), inv)
         assert g.nodes[t].proof_cost == pytest.approx(1.2)
         route = extract_route(g, t)
         assert route.reaction.children[0].molecule == "Y"

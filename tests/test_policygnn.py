@@ -8,13 +8,14 @@ were computed by hand.
 """
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from retrograph import policygnn
-from retrograph.molspace import Inventory, Reaction, features
+from retrograph.molspace import AdditiveSplitDomain, Inventory, Reaction, features
 from retrograph.numerics import Tensor
 from retrograph.policygnn import (
     GnnHyper,
@@ -43,13 +44,13 @@ def fixture_graph():
     inv = Inventory(["I"])
     g = SearchGraph()
     t = g.add_target("T", inv)
-    g.propagate_update(g.merge_expand(t, [
+    g.merge_expand(t, [
         Reaction("T", frozenset({"A", "B"}), 1.0),
         Reaction("T", frozenset({"C"}), 2.0),
         Reaction("T", frozenset({"D", "I"}), 0.5),
-    ], inv))
+    ], inv)
     (d,) = [n.id for n in g.nodes if n.kind == "molecule" and n.molecule == "D"]
-    g.propagate_update(g.merge_expand(d, [], inv))
+    g.merge_expand(d, [], inv)
     return g
 
 
@@ -140,8 +141,7 @@ def random_snapshot(seed):
         if not opens:
             break
         v = opens[int(rng.integers(len(opens)))]
-        g.propagate_update(
-            g.merge_expand(v, dom.expand(g.nodes[v].molecule, 4), inv))
+        g.merge_expand(v, dom.expand(g.nodes[v].molecule, 4), inv)
     return g.snapshot()
 
 
@@ -386,6 +386,30 @@ class TestTraining:
         result = train(examples[:2], examples[2:], hyper, seed=0, epochs=1,
                        batch_size=2)
         assert result.log[0]["total"] > 0.0
+
+    def test_batch_does_not_hold_every_tape(self):
+        # each example's tape is freed by its own backward, so a batch of 8
+        # peaks near a batch of 1 instead of holding eight tapes at once
+        hyper = GnnHyper(hidden=64, rbf_n=4, layers=2, feature_bits=64,
+                         drop_rate=0.0)
+        dom = AdditiveSplitDomain(seed=0)
+        inv = Inventory.integer_range(3)
+        g = SearchGraph()
+        g.add_target("997", inv)
+        while len(g.nodes) < 130:
+            v = min(g.open_nodes(), key=lambda n: (g.nodes[n].hist_cost, n))
+            g.merge_expand(v, dom.expand(g.nodes[v].molecule, 6), inv)
+        open_ids = sorted(g.open_nodes())
+        ex = Example(g.snapshot(), {i: int(i == open_ids[0]) for i in open_ids})
+        peaks = {}
+        for batch_size in (1, 8):
+            tracemalloc.start()
+            try:
+                train([ex] * 8, [ex], hyper, epochs=1, batch_size=batch_size)
+                _, peaks[batch_size] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] < 1.5 * peaks[1]
 
     def test_validation_errors(self):
         examples = make_examples(2, 400, HYPER)

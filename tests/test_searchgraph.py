@@ -146,11 +146,10 @@ def build_fixture():
     inv = Inventory(["I1", "I2"])
     g = SearchGraph(dedup=True)
     t = g.add_target("T", inv)
-    aff = g.merge_expand(t, [
+    g.merge_expand(t, [
         Reaction("T", frozenset({"A", "B"}), 1.0),
         Reaction("T", frozenset({"I1"}), 3.0),
     ], inv)
-    g.propagate_update(aff)
     return g, inv
 
 
@@ -170,8 +169,7 @@ class TestHandFixture:
 
     def test_reuse_lowers_hist(self):
         g, inv = build_fixture()
-        aff = g.merge_expand(2, [Reaction("A", frozenset({"I1", "B"}), 0.5)], inv)
-        g.propagate_update(aff)
+        g.merge_expand(2, [Reaction("A", frozenset({"I1", "B"}), 0.5)], inv)
         # R3 is node 6; B reused (no new node), I1 lowered from 3.0 to 1.5
         assert g.molecule_count() == 4
         assert g.nodes[6].hist_cost == pytest.approx(1.5)
@@ -183,10 +181,8 @@ class TestHandFixture:
 
     def test_final_expansion_proves_all(self):
         g, inv = build_fixture()
-        g.propagate_update(g.merge_expand(
-            2, [Reaction("A", frozenset({"I1", "B"}), 0.5)], inv))
-        g.propagate_update(g.merge_expand(
-            3, [Reaction("B", frozenset({"I2"}), 2.0)], inv))
+        g.merge_expand(2, [Reaction("A", frozenset({"I1", "B"}), 0.5)], inv)
+        g.merge_expand(3, [Reaction("B", frozenset({"I2"}), 2.0)], inv)
         assert all(n.success for n in g.nodes)
         assert g.open_nodes() == set()
         assert g.all_targets_successful()
@@ -232,8 +228,7 @@ class TestMergeExpand:
         inv = Inventory(["1"])
         g = SearchGraph()
         t = g.add_target("9", inv)
-        aff = g.merge_expand(t, [], inv)
-        g.propagate_update(aff)
+        g.merge_expand(t, [], inv)
         assert not g.nodes[t].open and not g.nodes[t].success
         assert g.open_nodes() == set()
         assert not g.all_targets_successful()
@@ -261,18 +256,15 @@ class TestMergeExpand:
         inv = Inventory(["1"])
         g = SearchGraph(dedup=False)
         t = g.add_target("4", inv)
-        aff = g.merge_expand(t, [
+        g.merge_expand(t, [
             Reaction("4", frozenset({"1", "3"}), 1.0),
             Reaction("4", frozenset({"2"}), 1.0),
         ], inv)
-        g.propagate_update(aff)
         mols = [n.molecule for n in g.nodes if n.kind == "molecule"]
         assert sorted(mols) == ["1", "2", "3", "4"]
         for v in sorted(g.open_nodes()):
             if g.nodes[v].molecule == "3":
-                aff = g.merge_expand(
-                    v, [Reaction("3", frozenset({"1", "2"}), 1.0)], inv)
-                g.propagate_update(aff)
+                g.merge_expand(v, [Reaction("3", frozenset({"1", "2"}), 1.0)], inv)
         mols = [n.molecule for n in g.nodes if n.kind == "molecule"]
         assert mols.count("1") == 2 and mols.count("2") == 2
         assert_consistent(g, exhaustive=True)
@@ -283,11 +275,9 @@ class TestCycles:
         inv = Inventory(["Z"])
         g = SearchGraph()
         t = g.add_target("A", inv)
-        g.propagate_update(g.merge_expand(
-            t, [Reaction("A", frozenset({"B"}), 1.0)], inv))
+        g.merge_expand(t, [Reaction("A", frozenset({"B"}), 1.0)], inv)
         (b,) = [n.id for n in g.nodes if n.kind == "molecule" and n.molecule == "B"]
-        g.propagate_update(g.merge_expand(
-            b, [Reaction("B", frozenset({"A"}), 1.0)], inv))
+        g.merge_expand(b, [Reaction("B", frozenset({"A"}), 1.0)], inv)
         assert g.open_nodes() == set()
         assert not any(n.success for n in g.nodes)
         assert_consistent(g, exhaustive=True)
@@ -296,8 +286,7 @@ class TestCycles:
         inv = Inventory(["Z"])
         g = SearchGraph()
         t = g.add_target("A", inv)
-        g.propagate_update(g.merge_expand(
-            t, [Reaction("A", frozenset({"A", "Z"}), 1.0)], inv))
+        g.merge_expand(t, [Reaction("A", frozenset({"A", "Z"}), 1.0)], inv)
         assert not g.nodes[t].success
         assert_consistent(g, exhaustive=True)
 
@@ -306,13 +295,12 @@ class TestCycles:
         inv = Inventory(["Z"])
         g = SearchGraph()
         t = g.add_target("A", inv)
-        g.propagate_update(g.merge_expand(
-            t, [Reaction("A", frozenset({"B"}), 1.0)], inv))
+        g.merge_expand(t, [Reaction("A", frozenset({"B"}), 1.0)], inv)
         (b,) = [n.id for n in g.nodes if n.kind == "molecule" and n.molecule == "B"]
-        g.propagate_update(g.merge_expand(b, [
+        g.merge_expand(b, [
             Reaction("B", frozenset({"A"}), 0.25),
             Reaction("B", frozenset({"Z"}), 5.0),
-        ], inv))
+        ], inv)
         assert g.nodes[t].success and g.nodes[b].success
         assert_consistent(g, exhaustive=True)
 
@@ -321,20 +309,18 @@ class TestPropagation:
     def test_success_flip_down_is_rejected(self):
         g, inv = build_fixture()
         g.nodes[1].proof_cost = 1.0          # R1 cannot be proved yet
-        g.nodes[1].success = True
         with pytest.raises(ContractViolation, match="rose"):
             g.propagate_update([1])
 
     def test_incremental_equals_recompute(self):
         g, inv = build_fixture()
-        g.propagate_update(g.merge_expand(
-            2, [Reaction("A", frozenset({"I1", "B"}), 0.5)], inv))
-        inc_success = [n.success for n in g.nodes]
+        g.merge_expand(2, [Reaction("A", frozenset({"I1", "B"}), 0.5)], inv)
+        inc_proof = [n.proof_cost for n in g.nodes]
         inc_hist = [n.hist_cost for n in g.nodes]
-        assert [n.proof_cost for n in g.nodes] == fixpoint_proof_cost(g)
-        g.recompute_success()
+        assert inc_proof == fixpoint_proof_cost(g)
+        g.recompute_proof_costs()
         g.recompute_hist_costs()
-        assert [n.success for n in g.nodes] == inc_success
+        assert [n.proof_cost for n in g.nodes] == inc_proof
         np.testing.assert_allclose([n.hist_cost for n in g.nodes], inc_hist)
 
 
@@ -362,8 +348,7 @@ class TestRandomizedAgainstReferences:
                 steps = 0
                 while g.open_nodes() and steps < 40:
                     v = sorted(g.open_nodes())[int(rng.integers(len(g.open_nodes())))]
-                    aff = g.merge_expand(v, dom.expand(g.nodes[v].molecule, 5), inv)
-                    g.propagate_update(aff)
+                    g.merge_expand(v, dom.expand(g.nodes[v].molecule, 5), inv)
                     assert_consistent(g, exhaustive=len(g.nodes) <= 14)
                     steps += 1
                     if steps == 3:           # mid-run second target
@@ -380,8 +365,7 @@ class TestRandomizedAgainstReferences:
             steps = 0
             while g.open_nodes() and steps < 25:
                 v = sorted(g.open_nodes())[int(rng.integers(len(g.open_nodes())))]
-                aff = g.merge_expand(v, dom.expand(g.nodes[v].molecule, 3), inv)
-                g.propagate_update(aff)
+                g.merge_expand(v, dom.expand(g.nodes[v].molecule, 3), inv)
                 assert_consistent(g)
                 steps += 1
             if dedup:
@@ -392,7 +376,7 @@ class TestRandomizedAgainstReferences:
 class TestInvariantChecker:
     def test_detects_duplicate_molecule(self):
         g, inv = build_fixture()
-        g._new_molecule("A", inv, 1.0)       # simulate a dedup bug
+        g._new_molecule("A", inv)            # simulate a dedup bug
         with pytest.raises(ContractViolation, match="duplicated"):
             g.check_invariants()
 
@@ -402,24 +386,12 @@ class TestInvariantChecker:
         with pytest.raises(ContractViolation, match="successors"):
             g.check_invariants()
 
-    def test_detects_success_without_proof_cost(self):
-        g, inv = build_fixture()
-        g.nodes[2].success = True            # A has no proof yet
-        with pytest.raises(ContractViolation, match="proof cost"):
-            g.check_invariants()
-        g, inv = build_fixture()
-        g.nodes[0].success = False           # T is proved at cost 3
-        with pytest.raises(ContractViolation, match="proof cost"):
-            g.check_invariants()
-
 
 class TestSnapshots:
     def finished_graph(self):
         g, inv = build_fixture()
-        g.propagate_update(g.merge_expand(
-            2, [Reaction("A", frozenset({"I1", "B"}), 0.5)], inv))
-        g.propagate_update(g.merge_expand(
-            3, [Reaction("B", frozenset({"I2"}), 2.0)], inv))
+        g.merge_expand(2, [Reaction("A", frozenset({"I1", "B"}), 0.5)], inv)
+        g.merge_expand(3, [Reaction("B", frozenset({"I2"}), 2.0)], inv)
         return g
 
     def test_json_round_trip_is_exact(self):
