@@ -45,7 +45,9 @@ class ZeroCost(CostModel):
 
 class ValueNetCost(CostModel):
     """Two-layer regressor on molecule features predicting remaining route
-    cost; the prediction is added to the historical cost."""
+    cost; the prediction is added to the historical cost. Predictions are
+    memoized per molecule, since the weights never change after
+    construction."""
 
     variant = "value_net"
 
@@ -54,6 +56,7 @@ class ValueNetCost(CostModel):
         self.w1, self.b1, self.w2, self.b2 = (np.asarray(a, dtype=np.float64)
                                               for a in (w1, b1, w2, b2))
         self.bits = bits
+        self._heuristic: dict[str, float] = {}
 
     @classmethod
     def zeros(cls, bits: int = 2048, hidden: int = 64) -> "ValueNetCost":
@@ -61,9 +64,12 @@ class ValueNetCost(CostModel):
                    np.zeros((hidden, 1)), np.zeros(1), bits)
 
     def heuristic(self, molecule: str) -> float:
-        x = features(molecule, self.bits)
-        h = np.maximum(x @ self.w1 + self.b1, 0.0)
-        return (h @ self.w2 + self.b2).item()
+        cached = self._heuristic.get(molecule)
+        if cached is None:
+            x = features(molecule, self.bits)
+            h = np.maximum(x @ self.w1 + self.b1, 0.0)
+            cached = self._heuristic[molecule] = (h @ self.w2 + self.b2).item()
+        return cached
 
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
         return {

@@ -120,9 +120,16 @@ class ExpansionOracle:
     Subclasses implement :meth:`canonical` and :meth:`reactions`; the latter
     must return the full candidate list sorted ascending by cost with ties
     broken by the lexicographic reactant key.
+
+    :meth:`expand` memoizes its answers per instance, across targets, in a
+    compact form: ``(product, cost, reactant tuple)`` entries whose strings
+    are interned, so memory grows with distinct molecules times k.
     """
 
     name: str = "abstract"
+    # (molecule, k) -> ((product, cost, reactants), ...); made on first use
+    _memo: dict[tuple[MoleculeId, int], tuple] | None = None
+    _interned: dict[MoleculeId, MoleculeId] | None = None
 
     def canonical(self, raw: str) -> MoleculeId:
         raise NotImplementedError
@@ -138,11 +145,24 @@ class ExpansionOracle:
         """At most *k* lowest-cost reactions producing *molecule*.
 
         Deterministic: same molecule and k always give the same list. An
-        empty list marks a dead end.
+        empty list marks a dead end. Each call returns fresh Reaction
+        objects, rebuilt from the memo when the pair was asked before.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        return self.reactions(molecule)[:k]
+        if self._memo is None:
+            self._memo, self._interned = {}, {}
+        entry = self._memo.get((molecule, k))
+        if entry is None:
+            intern = self._interned.setdefault
+            entry = tuple(
+                (intern(r.product, r.product), r.cost,
+                 tuple(intern(m, m) for m in r.reactant_key))
+                for r in self.reactions(molecule)[:k]
+            )
+            self._memo[(molecule, k)] = entry
+        return [Reaction(product, frozenset(reactants), cost)
+                for product, cost, reactants in entry]
 
 
 class _IntegerDomain(ExpansionOracle):

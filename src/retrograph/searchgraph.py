@@ -83,6 +83,10 @@ class SearchGraph:
         self.pred: list[list[NodeId]] = []
         self.targets: list[NodeId] = []
         self.memory: dict[MoleculeId, NodeId] = {}
+        # kept beside the node table so that queries need not scan it
+        self._open: set[NodeId] = set()
+        self._molecules = 0
+        self._reactions = 0
 
     # -- construction -----------------------------------------------------
 
@@ -99,6 +103,9 @@ class SearchGraph:
             id=nid, molecule=molecule, open=not in_inv, hist_cost=INF,
             proof_cost=0.0 if in_inv else INF, in_inventory=in_inv,
         ))
+        self._molecules += 1
+        if not in_inv:
+            self._open.add(nid)
         if self.dedup:
             self.memory[molecule] = nid
         return nid
@@ -131,6 +138,10 @@ class SearchGraph:
         reaction list closes *v* as a permanent dead end. Only nodes and
         edges are added here; :meth:`propagate_update` then brings proof and
         historical costs back to fixpoint before this returns.
+
+        It is seeded with *v* and the new reactions only: historical costs
+        flow down from *v*, proof costs flow up from the new reactions, and
+        a reused reactant's costs can change only through those new edges.
         """
         node = self.nodes[v]
         if node.kind != "molecule" or not node.open:
@@ -138,6 +149,7 @@ class SearchGraph:
         if not math.isfinite(node.hist_cost):
             raise ContractViolation(f"node {v} has no finite historical cost")
         node.open = False
+        self._open.discard(v)
         affected = {v}
         for rxn in reactions:
             if rxn.product != node.molecule:
@@ -149,6 +161,7 @@ class SearchGraph:
             self._new_node(ReactionNode(
                 id=rid, reaction_cost=rxn.cost, hist_cost=INF, proof_cost=INF,
             ))
+            self._reactions += 1
             self._add_edge(v, rid)
             for mol in sorted(rxn.reactants):
                 if self.dedup and mol in self.memory:
@@ -156,7 +169,6 @@ class SearchGraph:
                 else:
                     mid = self._new_molecule(mol, inventory)
                 self._add_edge(rid, mid)
-                affected.add(mid)
             affected.add(rid)
         self.propagate_update(affected)
 
@@ -246,13 +258,13 @@ class SearchGraph:
     # -- queries ------------------------------------------------------------
 
     def open_nodes(self) -> set[NodeId]:
-        return {n.id for n in self.nodes if n.kind == "molecule" and n.open}
+        return set(self._open)
 
     def molecule_count(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == "molecule")
+        return self._molecules
 
     def reaction_count(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == "reaction")
+        return self._reactions
 
     def all_targets_successful(self) -> bool:
         return all(self.nodes[t].success for t in self.targets)
@@ -285,7 +297,13 @@ class SearchGraph:
                             f"{seen[node.molecule]} and {node.id}"
                         )
                     seen[node.molecule] = node.id
-        if self.dedup and len(self.memory) != self.molecule_count():
+        molecules = [n for n in self.nodes if n.kind == "molecule"]
+        if {n.id for n in molecules if n.open} != self._open:
+            raise ContractViolation("open-node index out of sync with node table")
+        if (self._molecules, self._reactions) != (len(molecules),
+                                                  len(self.nodes) - len(molecules)):
+            raise ContractViolation("node counters out of sync with node table")
+        if self.dedup and len(self.memory) != len(molecules):
             raise ContractViolation("molecule memory out of sync with node table")
 
     # -- serialization -------------------------------------------------------

@@ -7,6 +7,7 @@ fixture routes.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from retrograph.costmodel import (
     remaining_cost_pairs,
     train_value_net,
 )
-from retrograph.molspace import AdditiveSplitDomain, Inventory, Reaction
+from retrograph.molspace import AdditiveSplitDomain, Inventory, Reaction, features
 from retrograph.planner import PlanConfig, RouteReaction, RouteTree, plan
 from retrograph.searchgraph import SearchGraph
 
@@ -76,6 +77,22 @@ class TestValueNet:
         g = two_open_graph()
         vn = ValueNetCost.zeros(bits=64, hidden=8)
         assert vn.open_costs(g) == ZeroCost().open_costs(g)
+
+    def test_features_once_per_molecule(self, monkeypatch):
+        from retrograph import costmodel
+        calls = Counter()
+
+        def counting(molecule, bits=2048):
+            calls[molecule] += 1
+            return features(molecule, bits)
+
+        monkeypatch.setattr(costmodel, "features", counting)
+        vn = ValueNetCost(np.zeros((64, 2)), np.array([2.0, -1.0]),
+                          np.ones((2, 1)), np.array([0.5]), bits=64)
+        res = plan(["97"], AdditiveSplitDomain(seed=0), Inventory.integer_range(3),
+                   PlanConfig(budget=20, k=6), vn)
+        assert res.iterations > 1
+        assert calls and set(calls.values()) == {1}
 
     def test_hand_set_weights(self):
         # zero w1 makes the hidden layer the bias alone: relu([2,-1]) = [2,0],

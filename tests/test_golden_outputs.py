@@ -1,13 +1,15 @@
 """Byte-identity guard: pinned sha256 digests of CLI outputs.
 
 Three small zero-cost runs (a graph-mode plan, a batch-plan and a
-factor-split tree-mode plan) write ``result.json`` and ``trace.csv``; their
-digests must match the values below. A refactor that is meant to keep every
+factor-split tree-mode plan) write ``result.json`` and ``trace.csv``, and a
+full-k ``gen-data`` run writes ``dataset.jsonl``, whose replay labels come
+from the graph's open-node set; their digests must match the values below. A refactor that is meant to keep every
 output unchanged is held to that by this file. A change that alters the
 outputs on purpose must update the digests and say why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -28,7 +30,13 @@ RUNS = {
          "--k", "6"],
         ["12", "18", "24", "30", "36", "48", "97"],
     ),
+    "gen-data": (
+        ["gen-data", "--domain", "additive-split", "--budget", "30", "--k", "6"],
+        ["21", "35", "12", "40", "97"],
+    ),
 }
+
+CONFIGS = {"gen-data": {"full_k": True}}
 
 GOLDEN = {
     "plan-additive": {
@@ -43,6 +51,9 @@ GOLDEN = {
         "result.json": "0cdc6717421021214e190b5e1eb021971a0832437e77b50514801167252dfeac",
         "trace.csv": "ed52850a29cad4f2fc69e8bb907404772db561a7674837f30865ae0bfe9e0043",
     },
+    "gen-data": {
+        "dataset.jsonl": "6870fcc9fc20e03a72c55dd95f9201c35eb18f237ae5e58b6ba38cc8ab7c6142",
+    },
 }
 
 
@@ -50,11 +61,15 @@ def run_digests(tmp_path, name):
     argv, targets = RUNS[name]
     tfile = tmp_path / "targets.txt"
     tfile.write_text("".join(f"{t}\n" for t in targets), encoding="utf-8")
+    if name in CONFIGS:
+        cfile = tmp_path / "config.json"
+        cfile.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+        argv = [*argv, "--config", str(cfile)]
     out = tmp_path / "out"
     rc = cli.main([*argv, "--targets", str(tfile), "--seed", "0", "--out", str(out)])
     assert rc in (0, 1)
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
-            for f in ("result.json", "trace.csv")}
+            for f in GOLDEN[name]}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

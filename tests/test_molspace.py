@@ -6,6 +6,7 @@ CLI's byte-identical guarantee depends on it), they are not derived truths.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from retrograph.molspace import (
     AdditiveSplitDomain,
     DomainSyntaxError,
+    ExpansionOracle,
     FactorSplitDomain,
     Inventory,
     Reaction,
@@ -237,3 +239,72 @@ class TestMakeDomain:
         d0 = make_domain("additive-split", seed=0)
         d5 = make_domain("additive-split", seed=5)
         assert [r.cost for r in d0.reactions("8")] != [r.cost for r in d5.reactions("8")]
+
+
+class CountingAdditive(AdditiveSplitDomain):
+    """Additive domain that counts how often the full list is computed."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.calls = Counter()
+
+    def reactions(self, molecule):
+        self.calls[molecule] += 1
+        return super().reactions(molecule)
+
+
+class TestExpandMemo:
+    def test_repeated_pair_computed_once(self):
+        dom = CountingAdditive()
+        first = dom.expand("20", 4)
+        for _ in range(3):
+            assert dom.expand("20", 4) == first
+        assert dom.calls == Counter({"20": 1})
+        assert first == AdditiveSplitDomain().reactions("20")[:4]
+
+    def test_larger_k_after_smaller_k(self):
+        dom = CountingAdditive()
+        assert len(dom.expand("20", 3)) == 3
+        got = dom.expand("20", 5)
+        assert got == AdditiveSplitDomain().reactions("20")[:5]
+        assert dom.expand("20", 3) == got[:3]
+
+    def test_mutating_an_answer_does_not_leak(self):
+        dom = CountingAdditive()
+        want = dom.expand("12", 4)
+        got = dom.expand("12", 4)
+        assert got is not want
+        got.clear()
+        want.append(Reaction("12", frozenset({"1"}), 1.0))
+        assert dom.expand("12", 4) == AdditiveSplitDomain().reactions("12")[:4]
+
+    def test_dead_ends_and_bad_k(self):
+        dom = CountingAdditive()
+        assert dom.expand("1", 3) == dom.expand("1", 3) == []
+        assert dom.calls == Counter({"1": 1})
+        with pytest.raises(ValueError):
+            dom.expand("12", 0)
+
+    def test_failures_are_not_memoized(self):
+        class FailsOnce(ExpansionOracle):
+            calls = 0
+
+            def canonical(self, raw):
+                return raw.strip()
+
+            def reactions(self, molecule):
+                self.calls += 1
+                if self.calls == 1:
+                    raise RuntimeError("boom")
+                return [Reaction(molecule, frozenset({"I"}), 1.0)]
+
+        dom = FailsOnce()
+        with pytest.raises(RuntimeError):
+            dom.expand("T", 2)
+        assert dom.expand("T", 2) == [Reaction("T", frozenset({"I"}), 1.0)]
+        assert dom.expand("T", 2) and dom.calls == 2
+
+    def test_memo_is_per_instance(self):
+        a, b = CountingAdditive(seed=0), CountingAdditive(seed=5)
+        assert a.expand("8", 3) != b.expand("8", 3)
+        assert a.calls == b.calls == Counter({"8": 1})

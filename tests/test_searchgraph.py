@@ -130,6 +130,10 @@ def assert_consistent(g, *, exhaustive=False):
     np.testing.assert_allclose(got_hist, ref, rtol=0, atol=1e-12)
     if exhaustive:
         np.testing.assert_allclose(got_hist, simple_path_hist(g), rtol=0, atol=1e-12)
+    kinds = [n.kind for n in g.nodes]
+    assert g.open_nodes() == {n.id for n in g.nodes if n.kind == "molecule" and n.open}
+    assert g.molecule_count() == kinds.count("molecule")
+    assert g.reaction_count() == kinds.count("reaction")
     g.check_invariants()
 
 
@@ -385,6 +389,24 @@ class TestInvariantChecker:
         g.nodes[0].open = True
         with pytest.raises(ContractViolation, match="successors"):
             g.check_invariants()
+
+    def test_detects_stale_open_index(self):
+        g, inv = build_fixture()
+        g.nodes[2].open = False              # closed without the index knowing
+        with pytest.raises(ContractViolation, match="open-node index"):
+            g.check_invariants()
+
+    def test_detects_stale_counters(self):
+        for counter in ("_molecules", "_reactions"):
+            g, inv = build_fixture()
+            setattr(g, counter, getattr(g, counter) + 1)
+            with pytest.raises(ContractViolation, match="counters"):
+                g.check_invariants()
+
+    def test_open_nodes_returns_a_copy(self):
+        g, inv = build_fixture()
+        g.open_nodes().clear()
+        assert g.open_nodes() == {2, 3}
 
 
 class TestSnapshots:
