@@ -39,7 +39,7 @@ def _unit_interval(*parts: object) -> float:
     return (_hash64(*parts) + 0.5) / 2.0**64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reaction:
     """One retro step: *product* is made from *reactants* at a positive cost."""
 
@@ -121,14 +121,14 @@ class ExpansionOracle:
     must return the full candidate list sorted ascending by cost with ties
     broken by the lexicographic reactant key.
 
-    :meth:`expand` memoizes its answers per instance, across targets, in a
-    compact form: ``(product, cost, reactant tuple)`` entries whose strings
-    are interned, so memory grows with distinct molecules times k.
+    :meth:`expand` memoizes its answers per instance, across targets, as
+    tuples of the validated, immutable reactions, whose molecule strings are
+    interned; memory grows with distinct molecules times k.
     """
 
     name: str = "abstract"
-    # (molecule, k) -> ((product, cost, reactants), ...); made on first use
-    _memo: dict[tuple[MoleculeId, int], tuple] | None = None
+    # (molecule, k) -> (Reaction, ...); made on first use
+    _memo: dict[tuple[MoleculeId, int], tuple[Reaction, ...]] | None = None
     _interned: dict[MoleculeId, MoleculeId] | None = None
 
     def canonical(self, raw: str) -> MoleculeId:
@@ -145,8 +145,9 @@ class ExpansionOracle:
         """At most *k* lowest-cost reactions producing *molecule*.
 
         Deterministic: same molecule and k always give the same list. An
-        empty list marks a dead end. Each call returns fresh Reaction
-        objects, rebuilt from the memo when the pair was asked before.
+        empty list marks a dead end. Each call returns a fresh list; when
+        the pair was asked before, it holds the memoized Reaction objects,
+        which are frozen and so safe to share.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -156,13 +157,12 @@ class ExpansionOracle:
         if entry is None:
             intern = self._interned.setdefault
             entry = tuple(
-                (intern(r.product, r.product), r.cost,
-                 tuple(intern(m, m) for m in r.reactant_key))
+                Reaction(intern(r.product, r.product),
+                         frozenset(intern(m, m) for m in r.reactants), r.cost)
                 for r in self.reactions(molecule)[:k]
             )
             self._memo[(molecule, k)] = entry
-        return [Reaction(product, frozenset(reactants), cost)
-                for product, cost, reactants in entry]
+        return list(entry)
 
 
 class _IntegerDomain(ExpansionOracle):

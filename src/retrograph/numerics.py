@@ -199,16 +199,28 @@ def segment_mean(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     """Row-wise mean of *a* grouped by segment id; empty segments give a
     zero row (an empty incoming-edge set contributes no message)."""
     segments = np.asarray(segments, dtype=np.int64)
-    counts = np.bincount(segments, minlength=num_segments).astype(np.float64)
-    safe = np.maximum(counts, 1.0)
-    out = np.zeros((num_segments, a.data.shape[1]))
-    np.add.at(out, segments, a.data)
-    out /= safe[:, None]
 
     def pull(g: np.ndarray) -> np.ndarray:
-        return g[segments] / safe[segments, None]
+        return g[segments] / _segment_sizes(segments, num_segments)[segments, None]
 
-    return Tensor(out, pulls=((a, pull),))
+    return Tensor(segment_mean_array(a.data, segments, num_segments), pulls=((a, pull),))
+
+
+def segment_mean_array(data: np.ndarray, segments: np.ndarray,
+                       num_segments: int) -> np.ndarray:
+    """:func:`segment_mean` on a plain array. Rows are added one at a time in
+    their given order (np.add.at), so a segment's mean does not depend on
+    which other segments are present."""
+    out = np.zeros((num_segments, data.shape[1]))
+    np.add.at(out, segments, data)
+    out /= _segment_sizes(segments, num_segments)[:, None]
+    return out
+
+
+def _segment_sizes(segments: np.ndarray, num_segments: int) -> np.ndarray:
+    # an empty segment counts as size 1, so its zero sum stays zero
+    counts = np.bincount(segments, minlength=num_segments).astype(np.float64)
+    return np.maximum(counts, 1.0)
 
 
 def tile_rows(a: Tensor, n: int) -> Tensor:
@@ -282,6 +294,15 @@ class MlpBlock:
         if training:
             a2 = dropout(a2, self.drop_rate, rng)
         h3 = a2 @ self.w3 + self.b3
+        residual = x if self.in_width == self.width else h1
+        return residual + h3
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference-mode :meth:`__call__` on a plain array: the same ops in
+        the same order, with no tape and no per-op finiteness check."""
+        h1 = x @ self.w1.data + self.b1.data
+        h2 = (h1 * (h1 > 0.0)) @ self.w2.data + self.b2.data
+        h3 = (h2 * (h2 > 0.0)) @ self.w3.data + self.b3.data
         residual = x if self.in_width == self.width else h1
         return residual + h3
 

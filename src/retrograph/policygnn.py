@@ -5,6 +5,12 @@ refined by a stack of meta layers (edge update, message-passed node update,
 global update). Open-node logits come from a linear head on the final node
 states; training uses binary cross-entropy on expansion labels plus a
 pairwise margin ranking loss between positive and negative open nodes.
+
+Inference and training take separate paths through the same math.
+Training runs :func:`forward` on Tensors, which records the autodiff tape.
+:func:`score`, the planner's entry point, runs the ops on plain arrays
+with one finiteness check on its output, and its last meta layer computes
+only the edges, messages and node rows that the open-node logits read.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ import numpy as np
 from . import numerics as nm
 from .molspace import features
 from .numerics import (AdamState, MlpBlock, Tensor, concat, gather_rows,
-                       rbf_matrix, relu, reshape, segment_mean, softplus,
-                       tile_rows, tmean, zero_grads)
+                       rbf_matrix, relu, reshape, segment_mean, segment_mean_array,
+                       softplus, tile_rows, tmean, zero_grads)
 
 
 @dataclass(frozen=True)
@@ -156,15 +162,27 @@ class _SnapshotArrays:
     open_ids: list[int]
 
 
-def _snapshot_arrays(snap: dict, bits: int) -> _SnapshotArrays:
+def _snapshot_arrays(snap: dict, bits: int,
+                     fingerprints: dict[str, np.ndarray] | None = None) -> _SnapshotArrays:
+    """Node and edge arrays of a snapshot. Fingerprint rows are looked up in,
+    and added to, *fingerprints* (molecule key -> row) when it is given."""
     nodes = snap["nodes"]
     mol_ids = [i for i, n in enumerate(nodes) if n["kind"] == "molecule"]
     rxn_ids = [i for i, n in enumerate(nodes) if n["kind"] == "reaction"]
     internal_of = np.empty(len(nodes), dtype=np.int64)
     for row, i in enumerate(mol_ids + rxn_ids):
         internal_of[i] = row
-    feats = (np.stack([features(nodes[i]["key"], bits) for i in mol_ids])
-             if mol_ids else np.zeros((0, bits)))
+    if fingerprints is None:
+        fingerprints = {}
+    rows = []
+    for i in mol_ids:
+        key = nodes[i]["key"]
+        row = fingerprints.get(key)
+        if row is None:
+            row = fingerprints[key] = features(key, bits)
+            row.flags.writeable = False
+        rows.append(row)
+    feats = np.stack(rows) if rows else np.zeros((0, bits))
     mol_hist = np.array([nodes[i]["hist_cost"] for i in mol_ids], dtype=np.float64)
     rxn_hist = np.array([nodes[i]["hist_cost"] for i in rxn_ids], dtype=np.float64)
     rxn_cost = np.array([nodes[i]["cost"] for i in rxn_ids], dtype=np.float64)
@@ -192,16 +210,22 @@ def init_encoding(snap: dict, params: GnnParameters) -> tuple[Tensor, Tensor, Te
     embedding, and the global state starts at zero."""
     hy = params.hyper
     arrays = _snapshot_arrays(snap, hy.feature_bits)
-    clip = lambda x: np.clip(x, hy.rbf_low, hy.rbf_high)
-    emb = lambda x: rbf_matrix(clip(x), hy.rbf_low, hy.rbf_high, hy.rbf_n, hy.rbf_tau)
+    mol_rbf, v_rxn = _rbf_rows(arrays, hy)
     proj = Tensor(arrays.feats) @ params.ffn_w + params.ffn_b
-    v_mol = concat([Tensor(emb(arrays.mol_hist)), proj], axis=1)
-    v_rxn = Tensor(np.concatenate([emb(arrays.rxn_hist), emb(arrays.rxn_cost)], axis=1)
-                   if arrays.rxn_ids else np.zeros((0, hy.node_init_width)))
-    v0 = concat([v_mol, v_rxn], axis=0)
+    v_mol = concat([Tensor(mol_rbf), proj], axis=1)
+    v0 = concat([v_mol, Tensor(v_rxn)], axis=0)
     e0 = gather_rows(params.edge_emb, arrays.edge_dir)
     u0 = Tensor(np.zeros((1, hy.hidden)))
     return v0, e0, u0, arrays
+
+
+def _rbf_rows(arrays: _SnapshotArrays, hy: GnnHyper) -> tuple[np.ndarray, np.ndarray]:
+    """RBF(hist) of the molecule rows, and the whole layer-0 reaction rows."""
+    clip = lambda x: np.clip(x, hy.rbf_low, hy.rbf_high)
+    emb = lambda x: rbf_matrix(clip(x), hy.rbf_low, hy.rbf_high, hy.rbf_n, hy.rbf_tau)
+    v_rxn = (np.concatenate([emb(arrays.rxn_hist), emb(arrays.rxn_cost)], axis=1)
+             if arrays.rxn_ids else np.zeros((0, hy.node_init_width)))
+    return emb(arrays.mol_hist), v_rxn
 
 
 def meta_layer(v: Tensor, e: Tensor, u: Tensor, edge_src: np.ndarray,
@@ -241,18 +265,77 @@ class ScoreResult:
     normalized: dict[int, float]   # softmax over open nodes; sums to 1
 
 
-def score(snap: dict, params: GnnParameters) -> ScoreResult:
-    """Inference-mode scores for every open molecule node of a snapshot."""
-    out = forward(snap, params, training=False)
-    if not out.open_ids:
+def score(snap: dict, params: GnnParameters,
+          fingerprints: dict[str, np.ndarray] | None = None) -> ScoreResult:
+    """Inference-mode scores for every open molecule node of a snapshot.
+
+    The logits equal :func:`forward`'s up to rounding (no tape is built).
+    A caller scoring many snapshots with one network may pass the same
+    *fingerprints* dict each time, so that each molecule is hashed once.
+    """
+    arrays = _snapshot_arrays(snap, params.hyper.feature_bits, fingerprints)
+    if not arrays.open_ids:
         raise ValueError("snapshot has no open molecule nodes to score")
-    raw = out.all_logits.data[out.open_ids, 0]
+    raw = _open_logits(arrays, params)
     shifted = np.exp(raw - raw.max())
     norm = shifted / shifted.sum()
     return ScoreResult(
-        logit=dict(zip(out.open_ids, raw.tolist())),
-        normalized=dict(zip(out.open_ids, norm.tolist())),
+        logit=dict(zip(arrays.open_ids, raw.tolist())),
+        normalized=dict(zip(arrays.open_ids, norm.tolist())),
     )
+
+
+def _open_logits(arrays: _SnapshotArrays, params: GnnParameters) -> np.ndarray:
+    """Logits of ``arrays.open_ids``: init_encoding, the meta layers and the
+    head of :func:`forward` in inference mode, on plain arrays.
+
+    Every layer but the last runs in full. The logits read only the open
+    molecule rows of the last node state, so the last layer updates only
+    those rows and the edges into them, and skips the global update, whose
+    output nothing reads.
+    """
+    hy = params.hyper
+    src, dst, n = arrays.edge_src, arrays.edge_dst, arrays.n_nodes
+    open_rows = arrays.internal_of[arrays.open_ids]
+    mol_rbf, v_rxn = _rbf_rows(arrays, hy)
+    e = params.edge_emb.data[arrays.edge_dir]
+    u = np.zeros((1, hy.hidden))
+    # a non-finite value reaches the logits, where it is caught once
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = arrays.feats @ params.ffn_w.data + params.ffn_b.data
+        v = np.concatenate([np.concatenate([mol_rbf, proj], axis=1), v_rxn], axis=0)
+        for blocks in params.layer_blocks[:-1]:
+            v, e = _infer_rows(v, e, u, src, dst, np.arange(n), blocks)
+            v_mean = v.sum(axis=0, keepdims=True) * (1.0 / n)
+            u = blocks.glob.infer(np.concatenate([u, v_mean], axis=1))
+        if params.layer_blocks:
+            v, _ = _infer_rows(v, e, u, src, dst, open_rows, params.layer_blocks[-1])
+        else:
+            v = v[open_rows]
+        logits = (v @ params.out_w.data + params.out_b.data)[:, 0]
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite value produced by the policy network")
+    return logits
+
+
+def _infer_rows(v: np.ndarray, e: np.ndarray, u: np.ndarray, src: np.ndarray,
+                dst: np.ndarray, rows: np.ndarray,
+                blocks: _LayerBlocks) -> tuple[np.ndarray, np.ndarray]:
+    """The edge and node updates of :func:`meta_layer` on plain arrays, for
+    node *rows* only: returns their new states and those of the edges into
+    them, in edge order. Each row averages the same messages in the same
+    order as in the full layer."""
+    slot = np.full(len(v), -1, dtype=np.int64)
+    slot[rows] = np.arange(len(rows))
+    keep = np.flatnonzero(slot[dst] >= 0)
+    src_v = v[src[keep]]
+    e_new = blocks.edge.infer(np.concatenate(
+        [e[keep], src_v, v[dst[keep]], np.repeat(u, len(keep), axis=0)], axis=1))
+    msg = segment_mean_array(blocks.msg.infer(np.concatenate([src_v, e_new], axis=1)),
+                             slot[dst[keep]], len(rows))
+    v_new = blocks.node.infer(np.concatenate(
+        [v[rows], msg, np.repeat(u, len(rows), axis=0)], axis=1))
+    return v_new, e_new
 
 
 def loss_terms(open_logits: Tensor, labels: np.ndarray,

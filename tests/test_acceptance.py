@@ -489,6 +489,32 @@ class TestGuidanceBenefit:
                f"solved/100: {rates} (soft zero-model bound {soft})", t0)
 
 
+    def test_08_score_matches_forward_on_guided_snapshots(self, trained_network):
+        # planning scores open nodes on a tape-free path that prunes the last
+        # layer; on the graphs criterion 08 plans, its logits must equal the
+        # training path's to 1e-12 relative
+        tn = trained_network
+        params = tn["result"].params
+        snapshots = []
+
+        class Recording(GnnCost):
+            def open_costs(self, graph):
+                snapshots.append(graph.snapshot())
+                return super().open_costs(graph)
+
+        for t in [str(n) for n in range(101, 300, 20)]:
+            plan([t], tn["domain"], tn["inventory"], EVAL_CFG,
+                 Recording(params, lam=0.5))
+        assert len(snapshots) >= 100
+        for snap in snapshots:
+            out = policygnn.forward(snap, params)
+            got = policygnn.score(snap, params).logit
+            assert list(got) == out.open_ids
+            np.testing.assert_allclose([got[i] for i in out.open_ids],
+                                       out.all_logits.data[out.open_ids, 0],
+                                       rtol=1e-12, atol=0.0)
+
+
 # -- criterion 9: closed-form spot checks --------------------------------------
 
 class TestClosedForms:

@@ -213,6 +213,27 @@ class TestGnnCost:
         assert any(0.0 in scores.values() for scores, _ in seen)
         assert all(math.isfinite(c) for _, costs in seen for c in costs.values())
 
+    def test_features_once_per_molecule(self, monkeypatch):
+        calls = Counter()
+
+        def counting(molecule, bits=2048):
+            calls[molecule] += 1
+            return features(molecule, bits)
+
+        monkeypatch.setattr(policygnn, "features", counting)
+        model = GnnCost(policygnn.GnnParameters(SMALL_HYPER, seed=3), lam=0.5)
+        res = plan(["97"], AdditiveSplitDomain(seed=0), Inventory.integer_range(3),
+                   PlanConfig(budget=20, k=6), model)
+        assert res.iterations == 20
+        assert calls and set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_bad_parameter_raises(self, bad):
+        params = policygnn.GnnParameters(SMALL_HYPER, seed=3)
+        params.layer_blocks[0].node.w1.data[0, 0] = bad
+        with pytest.raises(FloatingPointError):
+            GnnCost(params).open_costs(additive_graph())
+
     def test_save_load_round_trip(self, tmp_path):
         g = two_open_graph()
         model = GnnCost(policygnn.GnnParameters(SMALL_HYPER, seed=4), lam=1.5)

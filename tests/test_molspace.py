@@ -278,6 +278,18 @@ class TestExpandMemo:
         want.append(Reaction("12", frozenset({"1"}), 1.0))
         assert dom.expand("12", 4) == AdditiveSplitDomain().reactions("12")[:4]
 
+    def test_memo_hit_builds_no_reaction(self, monkeypatch):
+        dom = CountingAdditive()
+        first = dom.expand("20", 4)
+        built = []
+        check = Reaction.__post_init__
+        monkeypatch.setattr(Reaction, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        again = dom.expand("20", 4)
+        assert built == []
+        assert again == first and again is not first
+        assert all(a is b for a, b in zip(again, first))
+
     def test_dead_ends_and_bad_k(self):
         dom = CountingAdditive()
         assert dom.expand("1", 3) == dom.expand("1", 3) == []

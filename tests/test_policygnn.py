@@ -232,6 +232,123 @@ class TestScore:
             score(g.snapshot(), GnnParameters(HYPER, seed=0))
 
 
+def assert_score_matches_forward(snap, params):
+    """score's logits equal forward's open-node logits within 1e-12 relative."""
+    out = forward(snap, params)
+    got = score(snap, params).logit
+    assert list(got) == out.open_ids
+    np.testing.assert_allclose([got[i] for i in out.open_ids],
+                               out.all_logits.data[out.open_ids, 0],
+                               rtol=1e-12, atol=0.0)
+
+
+def tree_mode_snapshot(target="30", expansions=6):
+    """An additive target expanded cheapest-first in tree mode (dedup off),
+    so the same molecule key appears on several nodes."""
+    dom, inv = AdditiveSplitDomain(seed=0), Inventory.integer_range(3)
+    g = SearchGraph(dedup=False)
+    g.add_target(target, inv)
+    for _ in range(expansions):
+        v = min(g.open_nodes(), key=lambda n: (g.nodes[n].hist_cost, n))
+        g.merge_expand(v, dom.expand(g.nodes[v].molecule, 4), inv)
+    return g.snapshot()
+
+
+def shared_reactant_snapshot():
+    """T -> {A, B} and T -> {A, C}, then B -> {A}: open A has three incoming
+    reactions."""
+    inv = Inventory(["I"])
+    g = SearchGraph()
+    t = g.add_target("T", inv)
+    g.merge_expand(t, [Reaction("T", frozenset({"A", "B"}), 1.0),
+                       Reaction("T", frozenset({"A", "C"}), 1.5)], inv)
+    (b,) = [n.id for n in g.nodes if n.kind == "molecule" and n.molecule == "B"]
+    g.merge_expand(b, [Reaction("B", frozenset({"A"}), 0.5)], inv)
+    return g.snapshot()
+
+
+WIDE_HYPER = GnnHyper(hidden=64, rbf_n=16, layers=2, feature_bits=256,
+                      drop_rate=0.0)
+
+
+class TestScoreMatchesForward:
+    """score takes its own tape-free path, pruned in the last layer; its
+    logits must match the training path's to 1e-12 relative."""
+
+    def test_fixture_graph(self):
+        for hyper in (HYPER, WIDE_HYPER):
+            assert_score_matches_forward(fixture_graph().snapshot(),
+                                         GnnParameters(hyper, seed=1))
+
+    def test_random_graphs(self):
+        params = GnnParameters(WIDE_HYPER, seed=3)
+        for seed in range(8):
+            snap = random_snapshot(900 + seed)
+            if any(nd["kind"] == "molecule" and nd["open"] for nd in snap["nodes"]):
+                assert_score_matches_forward(snap, params)
+
+    def test_tree_mode_graph(self):
+        snap = tree_mode_snapshot()
+        assert not snap["dedup"]
+        keys = [nd["key"] for nd in snap["nodes"] if nd["kind"] == "molecule"]
+        assert len(set(keys)) < len(keys)
+        assert_score_matches_forward(snap, GnnParameters(WIDE_HYPER, seed=4))
+
+    def test_open_molecule_with_several_incoming_reactions(self):
+        snap = shared_reactant_snapshot()
+        (a,) = [i for i, nd in enumerate(snap["nodes"]) if nd.get("key") == "A"]
+        assert snap["nodes"][a]["open"]
+        assert sum(d == a for _, d in snap["edges"]) == 3
+        for seed in (5, 6):
+            assert_score_matches_forward(snap, GnnParameters(WIDE_HYPER, seed=seed))
+
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_other_depths(self, layers):
+        # hidden = 2 * rbf_n, so that with no layers the head reads the
+        # layer-0 state
+        hyper = GnnHyper(hidden=32, rbf_n=16, layers=layers, feature_bits=64,
+                         drop_rate=0.0)
+        params = GnnParameters(hyper, seed=layers)
+        for snap in (fixture_graph().snapshot(), shared_reactant_snapshot(),
+                     tree_mode_snapshot(), random_snapshot(903)):
+            assert_score_matches_forward(snap, params)
+
+    def test_single_open_target_without_edges(self):
+        snap = single_node_graph().snapshot()
+        assert snap["edges"] == []
+        for hyper in (HYPER, WIDE_HYPER):
+            assert_score_matches_forward(snap, GnnParameters(hyper, seed=2))
+
+    @pytest.mark.parametrize("name", ["ffn_w", "layer0.edge.w2", "layer1.msg.b1",
+                                      "layer1.node.b3", "out_w", "out_b"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_bad_parameter_raises(self, name, bad):
+        # one finiteness check, on the output logits, still catches a bad
+        # value anywhere on the path to them
+        params = GnnParameters(HYPER, seed=1)
+        dict(params.named_tensors())[name].data.flat[0] = bad
+        with pytest.raises(FloatingPointError):
+            score(fixture_graph().snapshot(), params)
+
+    def test_fingerprints_hashed_once_per_molecule(self, monkeypatch):
+        calls = []
+
+        def counting(molecule, bits=2048):
+            calls.append(molecule)
+            return features(molecule, bits)
+
+        monkeypatch.setattr(policygnn, "features", counting)
+        params = GnnParameters(HYPER, seed=1)
+        snap = tree_mode_snapshot()
+        fingerprints = {}
+        first = score(snap, params, fingerprints)
+        assert sorted(calls) == sorted(fingerprints)
+        again = score(snap, params, fingerprints)
+        assert len(calls) == len(fingerprints)
+        assert again == first
+        assert score(snap, params) == first
+
+
 class TestLossClosedForms:
     def test_bce_at_zero_logits_is_ln2(self):
         logits = Tensor(np.zeros((3, 1)))
