@@ -1,5 +1,6 @@
 """Acceptance suite: ten package-level criteria, one test and one summary
-line each.
+line each, plus a check that the planner's GNN scores match the training
+path's forward pass on the graphs criterion 08 plans.
 
 References here are written independently of the library code they check:
 a full-sweep success fixpoint, full-sweep value iteration for proof costs,
