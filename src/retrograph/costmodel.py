@@ -140,8 +140,10 @@ class GnnCost(CostModel):
     with scores computed once per call for all open nodes together.
 
     The log of the softmax is taken as logit - logsumexp(logits), so a score
-    that underflows to 0.0 still gets a finite price. Fingerprint rows are
-    memoized per molecule, like the value net's predictions.
+    that underflows to 0.0 still gets a finite price. One inference memo
+    lives as long as the model: fingerprint rows are hashed once per
+    molecule, like the value net's predictions, and the network's first
+    layer reuses the rows of the previous snapshot that did not change.
     """
 
     variant = "gnn"
@@ -151,11 +153,10 @@ class GnnCost(CostModel):
             raise ValueError(f"guidance weight lambda must be > 0, got {lam}")
         self.params = params
         self.lam = lam
-        self._fingerprints: dict[str, np.ndarray] = {}
+        self._memo = policygnn.InferenceMemo()
 
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
-        logits = policygnn.score(graph.snapshot(), self.params,
-                                 self._fingerprints).logit
+        logits = policygnn.score(graph.snapshot(), self.params, self._memo).logit
         shifted = np.array(list(logits.values())) - max(logits.values())
         log_norm = shifted - math.log(np.exp(shifted).sum())
         return {

@@ -11,6 +11,11 @@ Training runs :func:`forward` on Tensors, which records the autodiff tape.
 :func:`score`, the planner's entry point, runs the ops on plain arrays
 with one finiteness check on its output, and its last meta layer computes
 only the edges, messages and node rows that the open-node logits read.
+Its first meta layer goes through an :class:`InferenceMemo`, which a caller
+scoring a growing graph keeps across calls: an edge row is reused when its
+direction and both endpoints' layer-0 rows are bit-equal to the previous
+snapshot's, and a node row when its layer-0 row and in-degree are unchanged
+and every incoming edge was reused. Without a memo every row is computed.
 """
 
 from __future__ import annotations
@@ -265,18 +270,114 @@ class ScoreResult:
     normalized: dict[int, float]   # softmax over open nodes; sums to 1
 
 
+class InferenceMemo:
+    """What :func:`score` keeps between calls with one network: a fingerprint
+    row per molecule key, and the first meta layer's rows of the latest
+    snapshot, keyed by snapshot node id and by ``(src, dst)`` edge.
+
+    The layer-0 global state is zero, so a first-layer edge row depends only
+    on its direction and its endpoints' layer-0 rows, and a node row only on
+    its own layer-0 row and its incoming edges. An edge row is reused when
+    its direction and both endpoints' layer-0 rows are bit-equal to the
+    memo's; a node row when its layer-0 row and in-degree are unchanged and
+    every incoming edge was reused. Rows are validated by content, so a
+    snapshot of another graph simply misses. A memo serves one network whose
+    weights do not change, and holds only the latest snapshot's rows.
+    """
+
+    def __init__(self) -> None:
+        self.fingerprints: dict[str, np.ndarray] = {}
+        self.node_v0 = np.zeros((0, 0))              # layer-0 rows by node id
+        self.node_v1 = np.zeros((0, 0))              # first-layer rows by node id
+        self.node_known = np.zeros(0, dtype=bool)    # node_v1 row was computed
+        self.in_degree = np.zeros(0, dtype=np.int64)
+        self.edge_keys = np.zeros(0, dtype=np.int64)  # src << 32 | dst, sorted
+        self.edge_dir = np.zeros(0, dtype=np.int64)
+        self.edge_e1 = np.zeros((0, 0))              # first-layer edge states
+        self.edge_m1 = np.zeros((0, 0))              # and their messages
+
+    def first_layer(self, arrays: _SnapshotArrays, v: np.ndarray, e: np.ndarray,
+                    rows: np.ndarray,
+                    blocks: _LayerBlocks) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_infer_rows` for the first layer (zero global state): the
+        new states of node *rows* and of the edges into them, in edge order.
+        Rows that cannot be reused are computed in one batch per block; each
+        recomputed node averages all its incoming messages in edge order.
+        The memo then holds this snapshot's rows."""
+        src, dst, n = arrays.edge_src, arrays.edge_dst, arrays.n_nodes
+        ids = np.array(arrays.mol_ids + arrays.rxn_ids, dtype=np.int64)
+        u = np.zeros((1, blocks.edge.width))
+        v_by_id = v[arrays.internal_of]
+        in_degree = np.bincount(ids[dst], minlength=n)
+        # same: layer-0 row unchanged; stable: also in-degree and row known
+        same = np.zeros(n, dtype=bool)
+        stable = np.zeros(n, dtype=bool)
+        m = min(n, len(self.node_v0))
+        if m:
+            same[:m] = (v_by_id[:m].view(np.uint64)
+                        == self.node_v0[:m].view(np.uint64)).all(axis=1)
+            stable[:m] = (same[:m] & self.node_known[:m]
+                          & (self.in_degree[:m] == in_degree[:m]))
+        slot = np.full(n, -1, dtype=np.int64)
+        slot[rows] = np.arange(len(rows))
+        keep = np.flatnonzero(slot[dst] >= 0)
+        src_id, dst_id = ids[src[keep]], ids[dst[keep]]
+        keys = (src_id << 32) | dst_id
+        pos = np.zeros(len(keep), dtype=np.int64)
+        edge_hit = np.zeros(len(keep), dtype=bool)
+        if len(self.edge_keys):
+            pos = np.minimum(np.searchsorted(self.edge_keys, keys), len(self.edge_keys) - 1)
+            edge_hit = ((self.edge_keys[pos] == keys)
+                        & (self.edge_dir[pos] == arrays.edge_dir[keep])
+                        & same[src_id] & same[dst_id])
+        e_new = np.empty((len(keep), blocks.edge.width))
+        per_edge = np.empty((len(keep), blocks.msg.width))
+        if edge_hit.any():
+            e_new[edge_hit] = self.edge_e1[pos[edge_hit]]
+            per_edge[edge_hit] = self.edge_m1[pos[edge_hit]]
+        miss = keep[~edge_hit]
+        e_new[~edge_hit], per_edge[~edge_hit] = _edge_update(
+            blocks, e[miss], v[src[miss]], v[dst[miss]], u)
+        missed_into = np.bincount(dst[miss], minlength=n)
+        row_hit = stable[ids[rows]] & (missed_into[rows] == 0)
+        v_new = np.empty((len(rows), blocks.node.width))
+        if row_hit.any():
+            v_new[row_hit] = self.node_v1[ids[rows[row_hit]]]
+        need = rows[~row_hit]
+        need_slot = np.full(n, -1, dtype=np.int64)
+        need_slot[need] = np.arange(len(need))
+        into_need = need_slot[dst[keep]] >= 0
+        v_new[~row_hit] = _node_update(blocks, v[need], per_edge[into_need],
+                                       need_slot[dst[keep[into_need]]], u)
+        self.node_v0 = v_by_id
+        self.node_v1 = np.empty((n, blocks.node.width))
+        self.node_v1[ids[rows]] = v_new
+        self.node_known = np.zeros(n, dtype=bool)
+        self.node_known[ids[rows]] = True
+        self.in_degree = in_degree
+        order = np.argsort(keys)
+        self.edge_keys = keys[order]
+        self.edge_dir = arrays.edge_dir[keep][order]
+        self.edge_e1 = e_new[order]
+        self.edge_m1 = per_edge[order]
+        return v_new, e_new
+
+
 def score(snap: dict, params: GnnParameters,
-          fingerprints: dict[str, np.ndarray] | None = None) -> ScoreResult:
+          memo: InferenceMemo | None = None) -> ScoreResult:
     """Inference-mode scores for every open molecule node of a snapshot.
 
     The logits equal :func:`forward`'s up to rounding (no tape is built).
     A caller scoring many snapshots with one network may pass the same
-    *fingerprints* dict each time, so that each molecule is hashed once.
+    *memo* each time, so that each molecule is hashed once and first-layer
+    rows that did not change since the previous snapshot are reused. Without
+    one, an empty memo computes every row.
     """
-    arrays = _snapshot_arrays(snap, params.hyper.feature_bits, fingerprints)
+    memo = InferenceMemo() if memo is None else memo
+    arrays = _snapshot_arrays(snap, params.hyper.feature_bits, memo.fingerprints)
     if not arrays.open_ids:
         raise ValueError("snapshot has no open molecule nodes to score")
-    raw = _open_logits(arrays, params)
+    raw = _open_logits(arrays, params, memo)
     shifted = np.exp(raw - raw.max())
     norm = shifted / shifted.sum()
     return ScoreResult(
@@ -285,14 +386,15 @@ def score(snap: dict, params: GnnParameters,
     )
 
 
-def _open_logits(arrays: _SnapshotArrays, params: GnnParameters) -> np.ndarray:
+def _open_logits(arrays: _SnapshotArrays, params: GnnParameters,
+                 memo: InferenceMemo) -> np.ndarray:
     """Logits of ``arrays.open_ids``: init_encoding, the meta layers and the
     head of :func:`forward` in inference mode, on plain arrays.
 
     Every layer but the last runs in full. The logits read only the open
     molecule rows of the last node state, so the last layer updates only
     those rows and the edges into them, and skips the global update, whose
-    output nothing reads.
+    output nothing reads. The first layer goes through *memo*.
     """
     hy = params.hyper
     src, dst, n = arrays.edge_src, arrays.edge_dst, arrays.n_nodes
@@ -300,17 +402,21 @@ def _open_logits(arrays: _SnapshotArrays, params: GnnParameters) -> np.ndarray:
     mol_rbf, v_rxn = _rbf_rows(arrays, hy)
     e = params.edge_emb.data[arrays.edge_dir]
     u = np.zeros((1, hy.hidden))
+    last = len(params.layer_blocks) - 1
     # a non-finite value reaches the logits, where it is caught once
     with np.errstate(over="ignore", invalid="ignore"):
         proj = arrays.feats @ params.ffn_w.data + params.ffn_b.data
         v = np.concatenate([np.concatenate([mol_rbf, proj], axis=1), v_rxn], axis=0)
-        for blocks in params.layer_blocks[:-1]:
-            v, e = _infer_rows(v, e, u, src, dst, np.arange(n), blocks)
-            v_mean = v.sum(axis=0, keepdims=True) * (1.0 / n)
-            u = blocks.glob.infer(np.concatenate([u, v_mean], axis=1))
-        if params.layer_blocks:
-            v, _ = _infer_rows(v, e, u, src, dst, open_rows, params.layer_blocks[-1])
-        else:
+        for depth, blocks in enumerate(params.layer_blocks):
+            rows = open_rows if depth == last else np.arange(n)
+            if depth == 0:
+                v, e = memo.first_layer(arrays, v, e, rows, blocks)
+            else:
+                v, e = _infer_rows(v, e, u, src, dst, rows, blocks)
+            if depth < last:
+                v_mean = v.sum(axis=0, keepdims=True) * (1.0 / n)
+                u = blocks.glob.infer(np.concatenate([u, v_mean], axis=1))
+        if last < 0:
             v = v[open_rows]
         logits = (v @ params.out_w.data + params.out_b.data)[:, 0]
     if not np.all(np.isfinite(logits)):
@@ -328,14 +434,25 @@ def _infer_rows(v: np.ndarray, e: np.ndarray, u: np.ndarray, src: np.ndarray,
     slot = np.full(len(v), -1, dtype=np.int64)
     slot[rows] = np.arange(len(rows))
     keep = np.flatnonzero(slot[dst] >= 0)
-    src_v = v[src[keep]]
+    e_new, per_edge = _edge_update(blocks, e[keep], v[src[keep]], v[dst[keep]], u)
+    return _node_update(blocks, v[rows], per_edge, slot[dst[keep]], u), e_new
+
+
+def _edge_update(blocks: _LayerBlocks, e: np.ndarray, src_v: np.ndarray,
+                 dst_v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New states of edges *e* and the messages they send to their targets."""
     e_new = blocks.edge.infer(np.concatenate(
-        [e[keep], src_v, v[dst[keep]], np.repeat(u, len(keep), axis=0)], axis=1))
-    msg = segment_mean_array(blocks.msg.infer(np.concatenate([src_v, e_new], axis=1)),
-                             slot[dst[keep]], len(rows))
-    v_new = blocks.node.infer(np.concatenate(
-        [v[rows], msg, np.repeat(u, len(rows), axis=0)], axis=1))
-    return v_new, e_new
+        [e, src_v, dst_v, np.repeat(u, len(e), axis=0)], axis=1))
+    return e_new, blocks.msg.infer(np.concatenate([src_v, e_new], axis=1))
+
+
+def _node_update(blocks: _LayerBlocks, v: np.ndarray, per_edge: np.ndarray,
+                 segments: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """New states of node rows *v*; row i averages the *per_edge* messages
+    whose segment is i, in their given order."""
+    msg = segment_mean_array(per_edge, segments, len(v))
+    return blocks.node.infer(np.concatenate([v, msg, np.repeat(u, len(v), axis=0)],
+                                            axis=1))
 
 
 def loss_terms(open_logits: Tensor, labels: np.ndarray,

@@ -1,0 +1,46 @@
+"""The BENCH recorder's statistics, checked against a committed record.
+
+``BENCH_9.json`` stores each run as well as its quartiles, wins and ties;
+recomputing them from the stored (rounded) runs must give the same numbers
+to the last stored digit.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture()
+def bench_record(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import bench_record
+    yield bench_record
+    sys.modules.pop("bench_record", None)
+
+
+def test_compare_reproduces_a_committed_record(bench_record):
+    record = json.loads((ROOT / "BENCH_9.json").read_text(encoding="utf-8"))
+    for workload in record["workloads"].values():
+        for entry in workload["end_to_end"].values():
+            got = bench_record.compare(entry["parent"]["runs"], entry["change"]["runs"],
+                                       entry["better"])
+            assert (got["change_wins"], got["ties"]) == (entry["change_wins"],
+                                                        entry["ties"])
+            for side in ("parent", "change"):
+                assert got[side]["runs"] == entry[side]["runs"]
+                for q in ("q1", "median", "q3"):
+                    assert got[side][q] == pytest.approx(entry[side][q], abs=1.5e-4)
+
+
+def test_wins_follow_the_better_direction(bench_record):
+    lower = bench_record.compare([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "lower")
+    higher = bench_record.compare([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "higher")
+    assert (lower["change_wins"], lower["ties"]) == (1, 1)
+    assert (higher["change_wins"], higher["ties"]) == (1, 1)
+    assert lower["change_over_parent_median"] == 1.0
+    assert lower["change"] == {"runs": [1.0, 2.0, 3.0], "q1": 1.5, "median": 2.0,
+                               "q3": 2.5}

@@ -4,6 +4,7 @@ If a cleanup renames or moves one of them, ``perfbench/run.py --trace 1``
 would fail at install time; this test fails first.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -34,3 +35,34 @@ def test_traced_install_and_uninstall(tracing):
         tracer.uninstall()
     assert (planner.plan, policygnn.score, searchgraph.SearchGraph.snapshot,
             numerics.Tensor.__init__) == originals
+
+
+def test_traced_gnn_plan_scores_once_per_iteration(tracing, tmp_path):
+    # planning must reach the network through the wrapped policygnn.score,
+    # once per iteration, and pass the score hook's open-node checks
+    from test_golden_outputs import GNN_HYPER
+
+    from retrograph import cli
+    from retrograph.policygnn import GnnParameters
+
+    GnnParameters(GNN_HYPER, seed=0).save(tmp_path / "gnn.bin")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cost": "gnn", "lam": 0.5,
+                                  "checkpoint": str(tmp_path / "gnn.bin")}))
+    targets = tmp_path / "targets.txt"
+    targets.write_text("97\n64\n")
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, traced=True)
+        first = tracer.begin_pass()
+        rc = cli.main(["plan", "--domain", "additive-split", "--budget", "20",
+                       "--k", "6", "--seed", "0", "--targets", str(targets),
+                       "--config", str(config), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert rc in (0, 1)
+    plans = tracer.spans_named("planner.plan", first)
+    iterations = sum(tracer.results[i].iterations for i in plans)
+    assert len(plans) == 2 and iterations > 0
+    assert len(tracer.spans_named("policygnn.score", first)) == iterations
+    assert tracer.check_errors == []

@@ -227,6 +227,63 @@ class TestGnnCost:
         assert res.iterations == 20
         assert calls and set(calls.values()) == {1}
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["graph", "tree"])
+    def test_priced_logits_match_cold_score(self, monkeypatch, layers, mode):
+        # one model plans two targets, so its memo also sees a graph switch
+        cold_score = policygnn.score
+        priced = []
+
+        def recording(snap, params, memo=None):
+            result = cold_score(snap, params, memo)
+            priced.append((snap, result.logit, memo))
+            return result
+
+        monkeypatch.setattr(policygnn, "score", recording)
+        params = policygnn.GnnParameters(policygnn.GnnHyper(
+            hidden=16, rbf_n=8, layers=layers, feature_bits=64, drop_rate=0.0),
+            seed=layers)
+        model = GnnCost(params, lam=0.5)
+        iterations = sum(
+            plan([t], AdditiveSplitDomain(seed=0), Inventory.integer_range(3),
+                 PlanConfig(budget=15, k=6, mode=mode), model).iterations
+            for t in ("97", "64"))
+        assert len(priced) == iterations
+        for snap, logits, memo in priced:
+            assert memo is model._memo
+            out = policygnn.forward(snap, params)
+            want = out.all_logits.data[out.open_ids, 0]
+            cold = cold_score(snap, params).logit
+            assert list(logits) == list(cold) == out.open_ids
+            for got in (logits, cold):
+                gap = np.abs(np.array(list(got.values())) - want).max()
+                assert gap <= 1e-12 * np.abs(want).max()
+
+    def test_warm_memo_skips_unchanged_edge_rows(self, monkeypatch):
+        params = policygnn.GnnParameters(SMALL_HYPER, seed=3)
+        block = params.layer_blocks[0].edge
+        infer, sent, edges = block.infer, [], []
+
+        def counting(x):
+            sent.append(len(x))
+            return infer(x)
+
+        monkeypatch.setattr(block, "infer", counting)
+
+        class Recording(GnnCost):
+            def open_costs(self, graph):
+                edges.append(len(graph.snapshot()["edges"]))
+                return super().open_costs(graph)
+
+        plan(["97"], AdditiveSplitDomain(seed=0), Inventory.integer_range(3),
+             PlanConfig(budget=20, k=6), Recording(params))
+        assert len(sent) == len(edges) == 20
+        # the first two snapshots share no edge; from then on the edges of
+        # earlier iterations are reused
+        assert sent[:2] == edges[:2]
+        assert all(s < e for s, e in zip(sent[2:], edges[2:]))
+        assert sum(sent) < sum(edges) / 2
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_bad_parameter_raises(self, bad):
         params = policygnn.GnnParameters(SMALL_HYPER, seed=3)

@@ -340,13 +340,117 @@ class TestScoreMatchesForward:
         monkeypatch.setattr(policygnn, "features", counting)
         params = GnnParameters(HYPER, seed=1)
         snap = tree_mode_snapshot()
-        fingerprints = {}
-        first = score(snap, params, fingerprints)
-        assert sorted(calls) == sorted(fingerprints)
-        again = score(snap, params, fingerprints)
-        assert len(calls) == len(fingerprints)
+        memo = policygnn.InferenceMemo()
+        first = score(snap, params, memo)
+        assert sorted(calls) == sorted(memo.fingerprints)
+        again = score(snap, params, memo)
+        assert len(calls) == len(memo.fingerprints)
         assert again == first
         assert score(snap, params) == first
+
+
+def assert_within_scale(got: dict, want: np.ndarray, open_ids: list):
+    """*got* logits equal *want* (open-node order) within 1e-12 of the
+    snapshot's largest |logit|."""
+    assert list(got) == open_ids
+    gap = np.abs(np.array([got[i] for i in open_ids]) - want).max()
+    assert gap <= 1e-12 * np.abs(want).max()
+
+
+def assert_warm_matches_cold(snaps, params):
+    """Scores *snaps* in order through one memo. At each, the warm logits
+    equal a cold score and forward within 1e-12 of the snapshot's largest
+    |logit|."""
+    memo = policygnn.InferenceMemo()
+    for snap in snaps:
+        warm = score(snap, params, memo).logit
+        out = forward(snap, params)
+        want = out.all_logits.data[out.open_ids, 0]
+        assert_within_scale(warm, want, out.open_ids)
+        assert_within_scale(warm, np.array(list(score(snap, params).logit.values())),
+                            out.open_ids)
+
+
+def growing_snapshots(target, expansions, dedup=True):
+    """The snapshots of an additive target expanded cheapest-first, one per
+    iteration, while it has open nodes."""
+    dom, inv = AdditiveSplitDomain(seed=0), Inventory.integer_range(3)
+    g = SearchGraph(dedup=dedup)
+    g.add_target(target, inv)
+    snaps = []
+    for _ in range(expansions):
+        if not g.open_nodes():
+            break
+        snaps.append(g.snapshot())
+        v = min(g.open_nodes(), key=lambda n: (g.nodes[n].hist_cost, n))
+        g.merge_expand(v, dom.expand(g.nodes[v].molecule, 4), inv)
+    return snaps
+
+
+class TestInferenceMemo:
+    """score with a memo reuses first-layer rows of the previous snapshot;
+    its logits must match a cold score and forward at every step."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_growing_graph(self, layers):
+        hyper = GnnHyper(hidden=32, rbf_n=16, layers=layers, feature_bits=64,
+                         drop_rate=0.0)
+        snaps = growing_snapshots("60", 12)
+        assert len(snaps) == 12
+        assert_warm_matches_cold(snaps, GnnParameters(hyper, seed=layers))
+
+    def test_tree_mode(self):
+        snaps = growing_snapshots("30", 10, dedup=False)
+        keys = [nd["key"] for nd in snaps[-1]["nodes"] if nd["kind"] == "molecule"]
+        assert len(set(keys)) < len(keys)
+        assert_warm_matches_cold(snaps, GnnParameters(WIDE_HYPER, seed=4))
+
+    def test_graph_switch(self):
+        # the second graph reuses the first one's node ids for other content
+        snaps = growing_snapshots("45", 6) + growing_snapshots("44", 6)
+        assert_warm_matches_cold(snaps, GnnParameters(WIDE_HYPER, seed=5))
+
+    def test_graph_switch_to_fewer_incoming_edges(self):
+        # open A keeps its id, key and hist in the second graph, and its one
+        # remaining incoming edge is unchanged, but it lost the other one
+        def expanded(reactions):
+            inv = Inventory(["I"])
+            g = SearchGraph()
+            g.merge_expand(g.add_target("T", inv), reactions, inv)
+            return g.snapshot()
+
+        ab = Reaction("T", frozenset({"A", "B"}), 1.0)
+        first = expanded([ab, Reaction("T", frozenset({"A", "C"}), 1.5)])
+        second = expanded([ab, Reaction("T", frozenset({"C", "D"}), 1.5)])
+        (a,) = [i for i, nd in enumerate(first["nodes"]) if nd.get("key") == "A"]
+        assert first["nodes"][a] == second["nodes"][a]
+        assert [sum(d == a for _, d in s["edges"]) for s in (first, second)] == [2, 1]
+        assert_warm_matches_cold([first, second], GnnParameters(WIDE_HYPER, seed=8))
+
+    def test_reused_reactant_whose_hist_cost_falls(self):
+        # A is first reached at hist 5; expanding C reaches it at hist 2, so
+        # its rows and those of its edges must not be reused
+        inv = Inventory(["I"])
+        g = SearchGraph()
+        t = g.add_target("T", inv)
+        g.merge_expand(t, [Reaction("T", frozenset({"A", "B"}), 5.0),
+                           Reaction("T", frozenset({"C"}), 1.0)], inv)
+        before = g.snapshot()
+        (a,) = [i for i, nd in enumerate(before["nodes"]) if nd.get("key") == "A"]
+        (c,) = [i for i, nd in enumerate(before["nodes"]) if nd.get("key") == "C"]
+        g.merge_expand(c, [Reaction("C", frozenset({"A"}), 1.0)], inv)
+        after = g.snapshot()
+        assert after["nodes"][a]["hist_cost"] < before["nodes"][a]["hist_cost"]
+        for seed in (6, 7):
+            assert_warm_matches_cold([before, after, after],
+                                     GnnParameters(WIDE_HYPER, seed=seed))
+
+    def test_random_graph_sequence(self):
+        # unrelated graphs through one memo: every snapshot simply misses
+        snaps = [random_snapshot(900 + seed) for seed in range(8)]
+        snaps = [s for s in snaps
+                 if any(nd["kind"] == "molecule" and nd["open"] for nd in s["nodes"])]
+        assert_warm_matches_cold(snaps, GnnParameters(WIDE_HYPER, seed=3))
 
 
 class TestLossClosedForms:
