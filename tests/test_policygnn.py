@@ -446,7 +446,7 @@ class TestInferenceMemo:
                                      GnnParameters(WIDE_HYPER, seed=seed))
 
     def test_random_graph_sequence(self):
-        # unrelated graphs through one memo: every snapshot simply misses
+        # unrelated cyclic graphs through one memo; all start from target m0
         snaps = [random_snapshot(900 + seed) for seed in range(8)]
         snaps = [s for s in snaps
                  if any(nd["kind"] == "molecule" and nd["open"] for nd in s["nodes"])]

@@ -26,6 +26,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -109,6 +111,17 @@ def record_workload(trees: dict[str, Path], name: str, pairs: int, first_seed: i
     }
 
 
+def cpu_name() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -134,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     trees = {side: args.work / side for side in revs}
     for side, rev in revs.items():
         checkout(rev, trees[side])
-    import numpy
 
     record = {
         "what": args.what,
@@ -158,17 +170,6 @@ def main(argv: list[str] | None = None) -> int:
             trees, name, pairs, first, args.trace_seed, bench["run_seconds"], better)
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
-
-
-def cpu_name() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
 
 
 if __name__ == "__main__":
