@@ -2,14 +2,19 @@
 gradients, residual MLP blocks, Adam, radial-basis embeddings, and a
 versioned binary weight file.
 
-Everything is numpy-backed and deterministic for a fixed seed; any NaN or
-Inf produced by an operation raises immediately instead of propagating.
+Everything is numpy-backed and deterministic for a fixed seed. A
+:class:`Tensor` records a tape for reverse-mode gradients, and any NaN or
+Inf produced by one of its operations raises immediately. :class:`MlpBlock`
+runs on plain arrays instead, with a hand-written backward that adds into
+its parameters' ``.grad``; its callers check finiteness once, on what they
+compute from it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -208,13 +213,22 @@ def segment_mean(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
 
 def segment_mean_array(data: np.ndarray, segments: np.ndarray,
                        num_segments: int) -> np.ndarray:
-    """:func:`segment_mean` on a plain array. Rows are added one at a time in
-    their given order (np.add.at), so a segment's mean does not depend on
-    which other segments are present."""
-    out = np.zeros((num_segments, data.shape[1]))
-    np.add.at(out, segments, data)
+    """:func:`segment_mean` on a plain array (see :func:`segment_sum`)."""
+    out = segment_sum(data, segments, num_segments)
     out /= _segment_sizes(segments, num_segments)[:, None]
     return out
+
+
+def segment_sum(data: np.ndarray, segments: np.ndarray,
+                num_segments: int) -> np.ndarray:
+    """Row-wise sum of *data* grouped by segment id. Rows are added one at a
+    time in their given order, so a segment's sum does not depend on which
+    other segments are present; the bits equal ``np.add.at`` into zeros."""
+    width = data.shape[1]
+    flat = (segments[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=data.ravel(), minlength=num_segments * width)
+    # with no rows at all, bincount returns integer zeros
+    return out.astype(np.float64, copy=False).reshape(num_segments, width)
 
 
 def _segment_sizes(segments: np.ndarray, num_segments: int) -> np.ndarray:
@@ -243,8 +257,20 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return a
-    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    return mul(a, Tensor(mask))
+    return mul(a, Tensor(dropout_mask(a.data.shape, rate, rng)))
+
+
+def dropout_mask(shape: tuple[int, ...], rate: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Inverted-scale keep mask: 0 with probability *rate*, else 1/(1-rate)."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def add_grad(t: Tensor, g: np.ndarray, part: slice = slice(None)) -> None:
+    """Adds *g* into ``t.grad[part]``, starting from zero on first use."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[part] += g
 
 
 def kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -252,14 +278,30 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+@dataclass
+class BlockTape:
+    """What :meth:`MlpBlock.backward` reads of one forward call."""
+
+    x: np.ndarray | None          # block input (None: h1 formed by the caller)
+    h1: np.ndarray
+    a1: np.ndarray                # relu(h1), after dropout
+    h2: np.ndarray
+    a2: np.ndarray
+    m1: np.ndarray | None         # dropout masks (None: no dropout)
+    m2: np.ndarray | None
+
+
 class MlpBlock:
-    """Three affine layers with ReLU and a residual connection.
+    """Three affine layers with ReLU and a residual connection, on arrays.
 
     For equal input/output width the block computes
     ``y = x + L3(ReLU(L2(ReLU(L1(x)))))`` with dropout after each ReLU in
     training mode. When the input is wider (a concatenation), the first
     affine layer projects it down and the residual applies on the projected
-    path instead.
+    path instead. A caller may form that first layer's output itself, for
+    example as a sum of one projection per input part, and pass it to
+    :meth:`after_first`. In training mode each call also returns the tape
+    that :meth:`backward` and :meth:`backward_after_first` read.
     """
 
     def __init__(self, in_width: int, width: int, drop_rate: float,
@@ -277,34 +319,65 @@ class MlpBlock:
     def parameters(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
-    def __call__(self, x: Tensor, training: bool = False,
-                 rng: np.random.Generator | None = None) -> Tensor:
-        if x.data.shape[1] != self.in_width:
+    def __call__(self, x: np.ndarray, training: bool = False,
+                 rng: np.random.Generator | None = None
+                 ) -> tuple[np.ndarray, BlockTape | None]:
+        """The block on input rows *x*: (output, tape or None)."""
+        if x.shape[1] != self.in_width:
             raise ValueError(
-                f"block expects input width {self.in_width}, got {x.data.shape[1]}"
+                f"block expects input width {self.in_width}, got {x.shape[1]}"
             )
-        if training and self.drop_rate > 0.0 and rng is None:
-            raise ValueError("training-mode forward needs an rng for dropout")
-        h1 = x @ self.w1 + self.b1
-        a1 = relu(h1)
-        if training:
-            a1 = dropout(a1, self.drop_rate, rng)
-        h2 = a1 @ self.w2 + self.b2
-        a2 = relu(h2)
-        if training:
-            a2 = dropout(a2, self.drop_rate, rng)
-        h3 = a2 @ self.w3 + self.b3
-        residual = x if self.in_width == self.width else h1
-        return residual + h3
+        return self.after_first(x @ self.w1.data + self.b1.data, training, rng, x)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode :meth:`__call__` on a plain array: the same ops in
-        the same order, with no tape and no per-op finiteness check."""
-        h1 = x @ self.w1.data + self.b1.data
-        h2 = (h1 * (h1 > 0.0)) @ self.w2.data + self.b2.data
-        h3 = (h2 * (h2 > 0.0)) @ self.w3.data + self.b3.data
+    def after_first(self, h1: np.ndarray, training: bool = False,
+                    rng: np.random.Generator | None = None,
+                    x: np.ndarray | None = None) -> tuple[np.ndarray, BlockTape | None]:
+        """The block from its first affine layer's output *h1* on. The
+        residual is *x* for an equal-width block and *h1* otherwise."""
+        drop = training and self.drop_rate > 0.0
+        if drop and rng is None:
+            raise ValueError("training-mode forward needs an rng for dropout")
+        a1 = h1 * (h1 > 0.0)
+        m1 = dropout_mask(a1.shape, self.drop_rate, rng) if drop else None
+        if drop:
+            a1 = a1 * m1
+        h2 = a1 @ self.w2.data + self.b2.data
+        a2 = h2 * (h2 > 0.0)
+        m2 = dropout_mask(a2.shape, self.drop_rate, rng) if drop else None
+        if drop:
+            a2 = a2 * m2
+        h3 = a2 @ self.w3.data + self.b3.data
         residual = x if self.in_width == self.width else h1
-        return residual + h3
+        tape = BlockTape(x, h1, a1, h2, a2, m1, m2) if training else None
+        return residual + h3, tape
+
+    def backward_after_first(self, tape: BlockTape, g: np.ndarray) -> np.ndarray:
+        """Adds the gradients of w2, b2, w3 and b3 for output gradient *g*;
+        returns the gradient of h1 (residual included when it is h1)."""
+        add_grad(self.w3, tape.a2.T @ g)
+        add_grad(self.b3, g.sum(axis=0))
+        g2 = (g @ self.w3.data.T) * (tape.h2 > 0.0)
+        if tape.m2 is not None:
+            g2 *= tape.m2
+        add_grad(self.w2, tape.a1.T @ g2)
+        add_grad(self.b2, g2.sum(axis=0))
+        g1 = (g2 @ self.w2.data.T) * (tape.h1 > 0.0)
+        if tape.m1 is not None:
+            g1 *= tape.m1
+        if self.in_width != self.width:
+            g1 += g
+        return g1
+
+    def backward(self, tape: BlockTape, g: np.ndarray) -> np.ndarray:
+        """Adds every parameter's gradient for output gradient *g* of a
+        :meth:`__call__`; returns the gradient of its input."""
+        g1 = self.backward_after_first(tape, g)
+        add_grad(self.w1, tape.x.T @ g1)
+        add_grad(self.b1, g1.sum(axis=0))
+        gx = g1 @ self.w1.data.T
+        if self.in_width == self.width:
+            gx += g
+        return gx
 
 
 class AdamState:

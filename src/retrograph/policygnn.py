@@ -6,16 +6,27 @@ global update). Open-node logits come from a linear head on the final node
 states; training uses binary cross-entropy on expansion labels plus a
 pairwise margin ranking loss between positive and negative open nodes.
 
-Inference and training take separate paths through the same math.
-Training runs :func:`forward` on Tensors, which records the autodiff tape.
-:func:`score`, the planner's entry point, runs the ops on plain arrays
-with one finiteness check on its output, and its last meta layer computes
-only the edges, messages and node rows that the open-node logits read.
-Its first meta layer goes through an :class:`InferenceMemo`, which a caller
-scoring a growing graph keeps across calls: an edge row is reused when its
-direction and both endpoints' layer-0 rows are bit-equal to the previous
-snapshot's, and a node row when its layer-0 row and in-degree are unchanged
-and every incoming edge was reused. Without a memo every row is computed.
+One implementation on plain arrays serves training and scoring.
+:func:`meta_layer` forms each block's first affine layer as a sum of one
+projection per input part (Battaglia et al., arXiv:1806.01261):
+``concat([e, v_src, v_dst, u]) @ W1 = e@We + (v@Ws)[src] + (v@Wd)[dst] +
+u@Wu``. Node-level parts are projected once per node and then gathered,
+layer 0's edge part has one row per edge direction, and the global part is
+a single row, so nothing is tiled or concatenated. The logits read only the
+open molecule rows, so the last layer computes only those rows and the
+edges into them, and skips the global update, which nothing reads.
+
+Training runs that forward with tapes and a hand-derived backward that adds
+into every parameter's ``.grad``; the logits and loss of each example, and
+the gradients before each Adam step, are checked for finiteness once.
+:func:`score`, the planner's entry point, runs the same forward without
+tapes. Its first layer goes through an :class:`InferenceMemo`, which a
+caller scoring a growing graph keeps across calls: an edge row is reused
+when its direction and both endpoints' layer-0 rows are bit-equal to the
+previous snapshot's, and a node row when its layer-0 row and in-degree are
+unchanged and every incoming edge was reused. The other rows go through
+the edge and node updates of :func:`meta_layer`. Without a memo every row
+is computed, and the logits equal :func:`forward`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +38,8 @@ import numpy as np
 
 from . import numerics as nm
 from .molspace import features
-from .numerics import (AdamState, MlpBlock, Tensor, concat, gather_rows,
-                       rbf_matrix, relu, reshape, segment_mean, segment_mean_array,
-                       softplus, tile_rows, tmean, zero_grads)
+from .numerics import (AdamState, BlockTape, MlpBlock, Tensor, add_grad, rbf_matrix,
+                       segment_mean_array, segment_sum, zero_grads)
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,7 @@ class GnnParameters:
 
 @dataclass
 class ForwardResult:
-    all_logits: Tensor            # (n_nodes, 1), snapshot node order
+    logits: np.ndarray            # open-node logits, in open_ids order
     open_ids: list[int]           # open molecule node ids, ascending
 
 
@@ -157,17 +167,17 @@ class _SnapshotArrays:
     mol_ids: list[int]
     rxn_ids: list[int]
     internal_of: np.ndarray      # snapshot id -> internal row (molecules first)
-    feats: np.ndarray            # (n_mol, bits)
-    mol_hist: np.ndarray
-    rxn_hist: np.ndarray
-    rxn_cost: np.ndarray
+    fingerprints: list[np.ndarray]   # per molecule row, shared read-only
+    mol_rbf: np.ndarray          # RBF(hist) of the molecule rows
+    v_rxn: np.ndarray            # layer-0 reaction rows: RBF(hist), RBF(cost)
     edge_src: np.ndarray         # internal rows
     edge_dst: np.ndarray
     edge_dir: np.ndarray         # 0 molecule->reaction, 1 reaction->molecule
     open_ids: list[int]
+    open_rows: np.ndarray        # internal rows of open_ids
 
 
-def _snapshot_arrays(snap: dict, bits: int,
+def _snapshot_arrays(snap: dict, hyper: GnnHyper,
                      fingerprints: dict[str, np.ndarray] | None = None) -> _SnapshotArrays:
     """Node and edge arrays of a snapshot. Fingerprint rows are looked up in,
     and added to, *fingerprints* (molecule key -> row) when it is given."""
@@ -184,13 +194,15 @@ def _snapshot_arrays(snap: dict, bits: int,
         key = nodes[i]["key"]
         row = fingerprints.get(key)
         if row is None:
-            row = fingerprints[key] = features(key, bits)
+            row = fingerprints[key] = features(key, hyper.feature_bits)
             row.flags.writeable = False
         rows.append(row)
-    feats = np.stack(rows) if rows else np.zeros((0, bits))
-    mol_hist = np.array([nodes[i]["hist_cost"] for i in mol_ids], dtype=np.float64)
-    rxn_hist = np.array([nodes[i]["hist_cost"] for i in rxn_ids], dtype=np.float64)
-    rxn_cost = np.array([nodes[i]["cost"] for i in rxn_ids], dtype=np.float64)
+    clip = lambda x: np.clip(x, hyper.rbf_low, hyper.rbf_high)
+    emb = lambda ids, field: rbf_matrix(
+        clip(np.array([nodes[i][field] for i in ids], dtype=np.float64)),
+        hyper.rbf_low, hyper.rbf_high, hyper.rbf_n, hyper.rbf_tau)
+    v_rxn = (np.concatenate([emb(rxn_ids, "hist_cost"), emb(rxn_ids, "cost")], axis=1)
+             if rxn_ids else np.zeros((0, hyper.node_init_width)))
     src, dst, direction = [], [], []
     for s, d in snap["edges"]:
         src.append(internal_of[s])
@@ -199,69 +211,256 @@ def _snapshot_arrays(snap: dict, bits: int,
     open_ids = sorted(i for i in mol_ids if nodes[i]["open"])
     return _SnapshotArrays(
         n_nodes=len(nodes), mol_ids=mol_ids, rxn_ids=rxn_ids,
-        internal_of=internal_of, feats=feats, mol_hist=mol_hist,
-        rxn_hist=rxn_hist, rxn_cost=rxn_cost,
+        internal_of=internal_of, fingerprints=rows,
+        mol_rbf=emb(mol_ids, "hist_cost"), v_rxn=v_rxn,
         edge_src=np.array(src, dtype=np.int64),
         edge_dst=np.array(dst, dtype=np.int64),
         edge_dir=np.array(direction, dtype=np.int64),
-        open_ids=open_ids,
+        open_ids=open_ids, open_rows=internal_of[open_ids],
     )
 
 
-def init_encoding(snap: dict, params: GnnParameters) -> tuple[Tensor, Tensor, Tensor,
-                                                              _SnapshotArrays]:
-    """Layer-0 states: molecule nodes get RBF(hist) plus the projected
-    fingerprint, reaction nodes RBF(hist) plus RBF(cost), edges a direction
-    embedding, and the global state starts at zero."""
-    hy = params.hyper
-    arrays = _snapshot_arrays(snap, hy.feature_bits)
-    mol_rbf, v_rxn = _rbf_rows(arrays, hy)
-    proj = Tensor(arrays.feats) @ params.ffn_w + params.ffn_b
-    v_mol = concat([Tensor(mol_rbf), proj], axis=1)
-    v0 = concat([v_mol, Tensor(v_rxn)], axis=0)
-    e0 = gather_rows(params.edge_emb, arrays.edge_dir)
-    u0 = Tensor(np.zeros((1, hy.hidden)))
-    return v0, e0, u0, arrays
+def init_encoding(arrays: _SnapshotArrays,
+                  params: GnnParameters) -> tuple[np.ndarray, np.ndarray]:
+    """Layer-0 node states and the fingerprint rows they project: molecule
+    nodes get RBF(hist) plus the projected fingerprint, reaction nodes
+    RBF(hist) plus RBF(cost). (Edges start from a direction embedding, and
+    the global state starts at zero.)"""
+    bits = params.hyper.feature_bits
+    feats = (np.stack(arrays.fingerprints) if arrays.fingerprints
+             else np.zeros((0, bits)))
+    proj = feats @ params.ffn_w.data + params.ffn_b.data
+    v_mol = np.concatenate([arrays.mol_rbf, proj], axis=1)
+    return np.concatenate([v_mol, arrays.v_rxn], axis=0), feats
 
 
-def _rbf_rows(arrays: _SnapshotArrays, hy: GnnHyper) -> tuple[np.ndarray, np.ndarray]:
-    """RBF(hist) of the molecule rows, and the whole layer-0 reaction rows."""
-    clip = lambda x: np.clip(x, hy.rbf_low, hy.rbf_high)
-    emb = lambda x: rbf_matrix(clip(x), hy.rbf_low, hy.rbf_high, hy.rbf_n, hy.rbf_tau)
-    v_rxn = (np.concatenate([emb(arrays.rxn_hist), emb(arrays.rxn_cost)], axis=1)
-             if arrays.rxn_ids else np.zeros((0, hy.node_init_width)))
-    return emb(arrays.mol_hist), v_rxn
+# An input part of a block's first affine layer: rows x[index] of x, or x
+# itself when index is None (a single row then stands for every row).
+_Part = tuple[np.ndarray, "np.ndarray | None"]
+# Per part: x, and for a gathered part its distinct rows and their inverse.
+_AffineTape = list[tuple[np.ndarray, "np.ndarray | None", "np.ndarray | None"]]
 
 
-def meta_layer(v: Tensor, e: Tensor, u: Tensor, edge_src: np.ndarray,
-               edge_dst: np.ndarray, n_nodes: int, blocks: _LayerBlocks,
-               training: bool = False,
-               rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
+def _first_affine(block: MlpBlock, parts: list[_Part],
+                  training: bool) -> tuple[np.ndarray, _AffineTape | None]:
+    """*block*'s first affine layer on the concatenation of *parts*, as the
+    sum of one projection per part. A gathered part projects each distinct
+    row it names once."""
+    w = block.w1.data
+    out, start, tape = None, 0, []
+    for x, index in parts:
+        wp = w[start:start + x.shape[1]]
+        start += x.shape[1]
+        if index is None:
+            uniq = inv = None
+            proj = x @ wp
+        else:
+            # np.unique(index, return_inverse=True), without its sort
+            mark = np.zeros(len(x), dtype=bool)
+            mark[index] = True
+            uniq = np.flatnonzero(mark)
+            inv = (np.cumsum(mark) - 1)[index]
+            proj = ((x if len(uniq) == len(x) else x[uniq]) @ wp)[inv]
+        if out is None:
+            out = proj
+        else:
+            out += proj
+        tape.append((x, uniq, inv))
+    out += block.b1.data
+    return out, (tape if training else None)
+
+
+def _first_affine_backward(block: MlpBlock, tape: _AffineTape, g: np.ndarray,
+                           into: list[np.ndarray]) -> None:
+    """Adds the gradients of w1 and b1 for output gradient *g*, and adds
+    each part's input gradient into the matching array of *into*."""
+    w = block.w1.data
+    add_grad(block.b1, g.sum(axis=0))
+    start = 0
+    for (x, uniq, inv), target in zip(tape, into):
+        part = slice(start, start + x.shape[1])
+        start = part.stop
+        if uniq is None:
+            gp = g if len(x) == len(g) else g.sum(axis=0, keepdims=True)
+            add_grad(block.w1, x.T @ gp, part)
+            target += gp @ w[part].T
+        else:
+            gp = segment_sum(g, inv, len(uniq))
+            add_grad(block.w1, (x if len(uniq) == len(x) else x[uniq]).T @ gp, part)
+            target[uniq] += gp @ w[part].T
+
+
+@dataclass
+class _LayerTape:
+    n_rows: int
+    seg: np.ndarray              # message segment of each kept edge
+    edge: tuple[_AffineTape, BlockTape]
+    msg: tuple[_AffineTape, BlockTape]
+    node: tuple[_AffineTape, BlockTape]
+    glob: tuple[_AffineTape, BlockTape] | None
+    shapes: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # v, e table, u
+
+
+def meta_layer(v: np.ndarray, e: _Part, u: np.ndarray, arrays: _SnapshotArrays,
+               blocks: _LayerBlocks, rows: np.ndarray | None = None,
+               training: bool = False, rng: np.random.Generator | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, _LayerTape | None]:
     """One round of edge, node (via mean incoming messages), and global
-    updates. Nodes with no incoming edges receive the zero message."""
-    src_v = gather_rows(v, edge_src)
-    dst_v = gather_rows(v, edge_dst)
-    u_edges = tile_rows(u, len(edge_src))
-    e_new = blocks.edge(concat([e, src_v, dst_v, u_edges], axis=1), training, rng)
-    per_edge = blocks.msg(concat([src_v, e_new], axis=1), training, rng)
-    msg = segment_mean(per_edge, edge_dst, n_nodes)
-    u_nodes = tile_rows(u, n_nodes)
-    v_new = blocks.node(concat([v, msg, u_nodes], axis=1), training, rng)
-    u_new = blocks.glob(concat([u, tmean(v_new, axis=0, keepdims=True)], axis=1),
-                        training, rng)
-    return v_new, e_new, u_new
+    updates. Nodes with no incoming edges receive the zero message.
+
+    Edge j's state is row j of the table ``e[0]``, or row ``e[1][j]`` when
+    an index is given (layer 0's direction embedding). With *rows* None
+    every node, every edge and the global state are updated. Otherwise only
+    node *rows* (in that order) and the edges into them (in edge order) are,
+    and the global update is skipped (``u_new`` is None). Returns
+    ``(v_new, e_new, u_new, tape)``; the tape, for :func:`_meta_layer_backward`,
+    is None outside training.
+    """
+    src, dst, n = arrays.edge_src, arrays.edge_dst, arrays.n_nodes
+    full = rows is None
+    rows = np.arange(n) if full else rows
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[rows] = np.arange(len(rows))
+    keep = np.flatnonzero(slot[dst] >= 0)
+    e_tab, e_idx = e
+    e_idx = (None if full else keep) if e_idx is None else e_idx[keep]
+    e_new, per_edge, edge_tape, msg_tape = _edge_update(
+        blocks, (e_tab, e_idx), v, src[keep], dst[keep], u, training, rng)
+    seg = slot[dst[keep]]
+    v_new, node_tape = _node_update(blocks, v, rows, per_edge, seg, u, training, rng)
+    u_new, glob = _global_update(blocks.glob, u, v_new, training, rng) if full else (None, None)
+    tape = (_LayerTape(len(rows), seg, edge_tape, msg_tape, node_tape, glob,
+                       (v.shape, e_tab.shape, u.shape))
+            if training else None)
+    return v_new, e_new, u_new, tape
 
 
-def forward(snap: dict, params: GnnParameters, training: bool = False,
-            rng: np.random.Generator | None = None) -> ForwardResult:
-    """Full forward pass over a snapshot, returning per-node logits."""
-    v, e, u, arrays = init_encoding(snap, params)
-    for blocks in params.layer_blocks:
-        v, e, u = meta_layer(v, e, u, arrays.edge_src, arrays.edge_dst,
-                             arrays.n_nodes, blocks, training, rng)
-    logits_internal = v @ params.out_w + params.out_b
-    all_logits = gather_rows(logits_internal, arrays.internal_of)
-    return ForwardResult(all_logits=all_logits, open_ids=arrays.open_ids)
+def _edge_update(blocks: _LayerBlocks, e: _Part, v: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray, u: np.ndarray, training: bool,
+                 rng: np.random.Generator | None):
+    """New states of the edges *src* -> *dst*, whose states are the rows of
+    part *e*, and the messages they send to their targets; then the tapes
+    of the edge and message blocks."""
+    h1, edge_aff = _first_affine(blocks.edge, [e, (v, src), (v, dst), (u, None)], training)
+    e_new, edge_blk = blocks.edge.after_first(h1, training, rng)
+    h1, msg_aff = _first_affine(blocks.msg, [(v, src), (e_new, None)], training)
+    per_edge, msg_blk = blocks.msg.after_first(h1, training, rng)
+    return e_new, per_edge, (edge_aff, edge_blk), (msg_aff, msg_blk)
+
+
+def _node_update(blocks: _LayerBlocks, v: np.ndarray, rows: np.ndarray,
+                 per_edge: np.ndarray, seg: np.ndarray, u: np.ndarray, training: bool,
+                 rng: np.random.Generator | None):
+    """New states of node *rows*; row i averages the *per_edge* messages
+    whose segment is i, in their given order. Then the node block's tape."""
+    msg = segment_mean_array(per_edge, seg, len(rows))
+    h1, node_aff = _first_affine(blocks.node, [(v, rows), (msg, None), (u, None)], training)
+    v_new, node_blk = blocks.node.after_first(h1, training, rng)
+    return v_new, (node_aff, node_blk)
+
+
+def _global_update(glob: MlpBlock, u: np.ndarray, v_new: np.ndarray, training: bool,
+                   rng: np.random.Generator | None
+                   ) -> tuple[np.ndarray, tuple[_AffineTape, BlockTape] | None]:
+    """The new global state from *u* and the mean of the new node states."""
+    v_mean = v_new.sum(axis=0, keepdims=True) * (1.0 / len(v_new))
+    h1, aff = _first_affine(glob, [(u, None), (v_mean, None)], training)
+    u_new, blk = glob.after_first(h1, training, rng)
+    return u_new, ((aff, blk) if training else None)
+
+
+def _meta_layer_backward(blocks: _LayerBlocks, tape: _LayerTape, g_v: np.ndarray,
+                         g_e: np.ndarray | None, g_u: np.ndarray | None
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adds the layer's parameter gradients for the gradients of its
+    outputs (None where nothing reads one); returns the gradients of its
+    inputs v, edge table and u."""
+    v_shape, e_shape, u_shape = tape.shapes
+    gv_in, ge_in, gu_in = np.zeros(v_shape), np.zeros(e_shape), np.zeros(u_shape)
+    if g_u is not None:
+        aff, blk = tape.glob
+        g_mean = np.zeros((1, blocks.node.width))
+        _first_affine_backward(blocks.glob, aff, blocks.glob.backward_after_first(blk, g_u),
+                               [gu_in, g_mean])
+        g_v = g_v + g_mean * (1.0 / tape.n_rows)
+    aff, blk = tape.node
+    g_msg = np.zeros((tape.n_rows, blocks.msg.width))
+    _first_affine_backward(blocks.node, aff, blocks.node.backward_after_first(blk, g_v),
+                           [gv_in, g_msg, gu_in])
+    sizes = np.maximum(np.bincount(tape.seg, minlength=tape.n_rows), 1).astype(np.float64)
+    g_per_edge = g_msg[tape.seg] / sizes[tape.seg, None]
+    aff, blk = tape.msg
+    g_e_new = np.zeros((len(tape.seg), blocks.edge.width))
+    _first_affine_backward(blocks.msg, aff, blocks.msg.backward_after_first(blk, g_per_edge),
+                           [gv_in, g_e_new])
+    if g_e is not None:
+        g_e_new += g_e
+    aff, blk = tape.edge
+    _first_affine_backward(blocks.edge, aff, blocks.edge.backward_after_first(blk, g_e_new),
+                           [ge_in, gv_in, gv_in, gu_in])
+    return gv_in, ge_in, gu_in
+
+
+def _forward(arrays: _SnapshotArrays, params: GnnParameters, training: bool = False,
+             rng: np.random.Generator | None = None, memo: "InferenceMemo | None" = None):
+    """Open-node logits of a snapshot's arrays, and in training mode the
+    tape :func:`_backward` reads (None otherwise). Every layer but the last
+    runs in full; the last computes only the open rows. The first layer
+    goes through *memo* when one is given."""
+    hy = params.hyper
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, feats = init_encoding(arrays, params)
+        e = (params.edge_emb.data, arrays.edge_dir)
+        u = np.zeros((1, hy.hidden))
+        layer_tapes = []
+        last = len(params.layer_blocks) - 1
+        for depth, blocks in enumerate(params.layer_blocks):
+            rows = arrays.open_rows if depth == last else None
+            if depth == 0 and memo is not None:
+                v, e_new = memo.first_layer(v, e, u, arrays, blocks, rows)
+                if rows is None:
+                    u = _global_update(blocks.glob, u, v, False, None)[0]
+            else:
+                v, e_new, u, layer_tape = meta_layer(v, e, u, arrays, blocks, rows,
+                                                     training, rng)
+                layer_tapes.append(layer_tape)
+            e = (e_new, None)
+        if last < 0:
+            v = v[arrays.open_rows]
+        logits = (v @ params.out_w.data + params.out_b.data)[:, 0]
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite value produced by the policy network")
+    return logits, ((feats, layer_tapes, v) if training else None)
+
+
+def _backward(arrays: _SnapshotArrays, params: GnnParameters, tape,
+              g_logits: np.ndarray) -> None:
+    """Adds every parameter's gradient for the logits' gradient *g_logits*.
+    The last layer's global update was skipped, so its parameters get none."""
+    feats, layer_tapes, v_head = tape
+    g = g_logits[:, None]
+    add_grad(params.out_w, v_head.T @ g)
+    add_grad(params.out_b, g.sum(axis=0))
+    g_v = g @ params.out_w.data.T
+    if not layer_tapes:
+        g_all = np.zeros((arrays.n_nodes, g_v.shape[1]))
+        g_all[arrays.open_rows] = g_v
+        g_v = g_all
+    g_e = g_u = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for blocks, layer_tape in zip(params.layer_blocks[::-1], layer_tapes[::-1]):
+            g_v, g_e, g_u = _meta_layer_backward(blocks, layer_tape, g_v, g_e, g_u)
+        if g_e is not None:
+            add_grad(params.edge_emb, g_e)
+        g_proj = g_v[:len(feats), params.hyper.rbf_n:]
+        add_grad(params.ffn_w, feats.T @ g_proj)
+        add_grad(params.ffn_b, g_proj.sum(axis=0))
+
+
+def forward(snap: dict, params: GnnParameters) -> ForwardResult:
+    """Inference-mode logits of a snapshot's open molecule nodes."""
+    arrays = _snapshot_arrays(snap, params.hyper)
+    return ForwardResult(logits=_forward(arrays, params)[0], open_ids=arrays.open_ids)
 
 
 @dataclass
@@ -281,8 +480,8 @@ class InferenceMemo:
     its direction and both endpoints' layer-0 rows are bit-equal to the
     memo's; a node row when its layer-0 row and in-degree are unchanged and
     every incoming edge was reused. Rows are validated by content, so a
-    snapshot of another graph simply misses. A memo serves one network whose
-    weights do not change, and holds only the latest snapshot's rows.
+    snapshot of another graph simply misses. A memo serves one network
+    whose weights do not change, and holds only the latest snapshot's rows.
     """
 
     def __init__(self) -> None:
@@ -296,17 +495,17 @@ class InferenceMemo:
         self.edge_e1 = np.zeros((0, 0))              # first-layer edge states
         self.edge_m1 = np.zeros((0, 0))              # and their messages
 
-    def first_layer(self, arrays: _SnapshotArrays, v: np.ndarray, e: np.ndarray,
-                    rows: np.ndarray,
-                    blocks: _LayerBlocks) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_infer_rows` for the first layer (zero global state): the
-        new states of node *rows* and of the edges into them, in edge order.
-        Rows that cannot be reused are computed in one batch per block; each
-        recomputed node averages all its incoming messages in edge order.
-        The memo then holds this snapshot's rows."""
+    def first_layer(self, v: np.ndarray, e: _Part, u: np.ndarray,
+                    arrays: _SnapshotArrays, blocks: _LayerBlocks,
+                    rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`meta_layer`'s new node and edge states for the first layer
+        (zero global state), without the global update. Rows that cannot be
+        reused go through meta_layer's edge and node updates, one batch per
+        block; each recomputed node averages all its incoming messages in
+        edge order. The memo then holds this snapshot's rows."""
         src, dst, n = arrays.edge_src, arrays.edge_dst, arrays.n_nodes
+        rows = np.arange(n) if rows is None else rows
         ids = np.array(arrays.mol_ids + arrays.rxn_ids, dtype=np.int64)
-        u = np.zeros((1, blocks.edge.width))
         v_by_id = v[arrays.internal_of]
         in_degree = np.bincount(ids[dst], minlength=n)
         # same: layer-0 row unchanged; stable: also in-degree and row known
@@ -336,8 +535,8 @@ class InferenceMemo:
             e_new[edge_hit] = self.edge_e1[pos[edge_hit]]
             per_edge[edge_hit] = self.edge_m1[pos[edge_hit]]
         miss = keep[~edge_hit]
-        e_new[~edge_hit], per_edge[~edge_hit] = _edge_update(
-            blocks, e[miss], v[src[miss]], v[dst[miss]], u)
+        e_new[~edge_hit], per_edge[~edge_hit], _, _ = _edge_update(
+            blocks, (e[0], e[1][miss]), v, src[miss], dst[miss], u, False, None)
         missed_into = np.bincount(dst[miss], minlength=n)
         row_hit = stable[ids[rows]] & (missed_into[rows] == 0)
         v_new = np.empty((len(rows), blocks.node.width))
@@ -347,8 +546,8 @@ class InferenceMemo:
         need_slot = np.full(n, -1, dtype=np.int64)
         need_slot[need] = np.arange(len(need))
         into_need = need_slot[dst[keep]] >= 0
-        v_new[~row_hit] = _node_update(blocks, v[need], per_edge[into_need],
-                                       need_slot[dst[keep[into_need]]], u)
+        v_new[~row_hit], _ = _node_update(blocks, v, need, per_edge[into_need],
+                                          need_slot[dst[keep[into_need]]], u, False, None)
         self.node_v0 = v_by_id
         self.node_v1 = np.empty((n, blocks.node.width))
         self.node_v1[ids[rows]] = v_new
@@ -367,17 +566,17 @@ def score(snap: dict, params: GnnParameters,
           memo: InferenceMemo | None = None) -> ScoreResult:
     """Inference-mode scores for every open molecule node of a snapshot.
 
-    The logits equal :func:`forward`'s up to rounding (no tape is built).
     A caller scoring many snapshots with one network may pass the same
     *memo* each time, so that each molecule is hashed once and first-layer
     rows that did not change since the previous snapshot are reused. Without
-    one, an empty memo computes every row.
+    one, an empty memo computes every row, and the logits equal
+    :func:`forward`'s.
     """
     memo = InferenceMemo() if memo is None else memo
-    arrays = _snapshot_arrays(snap, params.hyper.feature_bits, memo.fingerprints)
+    arrays = _snapshot_arrays(snap, params.hyper, memo.fingerprints)
     if not arrays.open_ids:
         raise ValueError("snapshot has no open molecule nodes to score")
-    raw = _open_logits(arrays, params, memo)
+    raw = _forward(arrays, params, memo=memo)[0]
     shifted = np.exp(raw - raw.max())
     norm = shifted / shifted.sum()
     return ScoreResult(
@@ -386,108 +585,77 @@ def score(snap: dict, params: GnnParameters,
     )
 
 
-def _open_logits(arrays: _SnapshotArrays, params: GnnParameters,
-                 memo: InferenceMemo) -> np.ndarray:
-    """Logits of ``arrays.open_ids``: init_encoding, the meta layers and the
-    head of :func:`forward` in inference mode, on plain arrays.
-
-    Every layer but the last runs in full. The logits read only the open
-    molecule rows of the last node state, so the last layer updates only
-    those rows and the edges into them, and skips the global update, whose
-    output nothing reads. The first layer goes through *memo*.
-    """
-    hy = params.hyper
-    src, dst, n = arrays.edge_src, arrays.edge_dst, arrays.n_nodes
-    open_rows = arrays.internal_of[arrays.open_ids]
-    mol_rbf, v_rxn = _rbf_rows(arrays, hy)
-    e = params.edge_emb.data[arrays.edge_dir]
-    u = np.zeros((1, hy.hidden))
-    last = len(params.layer_blocks) - 1
-    # a non-finite value reaches the logits, where it is caught once
-    with np.errstate(over="ignore", invalid="ignore"):
-        proj = arrays.feats @ params.ffn_w.data + params.ffn_b.data
-        v = np.concatenate([np.concatenate([mol_rbf, proj], axis=1), v_rxn], axis=0)
-        for depth, blocks in enumerate(params.layer_blocks):
-            rows = open_rows if depth == last else np.arange(n)
-            if depth == 0:
-                v, e = memo.first_layer(arrays, v, e, rows, blocks)
-            else:
-                v, e = _infer_rows(v, e, u, src, dst, rows, blocks)
-            if depth < last:
-                v_mean = v.sum(axis=0, keepdims=True) * (1.0 / n)
-                u = blocks.glob.infer(np.concatenate([u, v_mean], axis=1))
-        if last < 0:
-            v = v[open_rows]
-        logits = (v @ params.out_w.data + params.out_b.data)[:, 0]
-    if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite value produced by the policy network")
-    return logits
+@dataclass
+class LossTerms:
+    total: float
+    bce: float
+    rank: float
+    grad: np.ndarray     # d total / d logits
 
 
-def _infer_rows(v: np.ndarray, e: np.ndarray, u: np.ndarray, src: np.ndarray,
-                dst: np.ndarray, rows: np.ndarray,
-                blocks: _LayerBlocks) -> tuple[np.ndarray, np.ndarray]:
-    """The edge and node updates of :func:`meta_layer` on plain arrays, for
-    node *rows* only: returns their new states and those of the edges into
-    them, in edge order. Each row averages the same messages in the same
-    order as in the full layer."""
-    slot = np.full(len(v), -1, dtype=np.int64)
-    slot[rows] = np.arange(len(rows))
-    keep = np.flatnonzero(slot[dst] >= 0)
-    e_new, per_edge = _edge_update(blocks, e[keep], v[src[keep]], v[dst[keep]], u)
-    return _node_update(blocks, v[rows], per_edge, slot[dst[keep]], u), e_new
-
-
-def _edge_update(blocks: _LayerBlocks, e: np.ndarray, src_v: np.ndarray,
-                 dst_v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """New states of edges *e* and the messages they send to their targets."""
-    e_new = blocks.edge.infer(np.concatenate(
-        [e, src_v, dst_v, np.repeat(u, len(e), axis=0)], axis=1))
-    return e_new, blocks.msg.infer(np.concatenate([src_v, e_new], axis=1))
-
-
-def _node_update(blocks: _LayerBlocks, v: np.ndarray, per_edge: np.ndarray,
-                 segments: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """New states of node rows *v*; row i averages the *per_edge* messages
-    whose segment is i, in their given order."""
-    msg = segment_mean_array(per_edge, segments, len(v))
-    return blocks.node.infer(np.concatenate([v, msg, np.repeat(u, len(v), axis=0)],
-                                            axis=1))
-
-
-def loss_terms(open_logits: Tensor, labels: np.ndarray,
-               margin: float) -> tuple[Tensor, Tensor, Tensor]:
-    """(total, bce, rank) for one graph's open-node logits and 0/1 labels.
+def loss_terms(logits: np.ndarray, labels: np.ndarray, margin: float) -> LossTerms:
+    """(total, bce, rank) and the total's gradient for one graph's open-node
+    logits and 0/1 labels.
 
     The rank term penalizes every positive/negative pair whose logit gap
     falls short of the margin; it is zero by convention when either side is
     empty.
     """
-    y = Tensor(labels.reshape(-1, 1))
-    bce = tmean(y * softplus(-open_logits) + (1.0 - y) * softplus(open_logits))
-    pos_idx = np.flatnonzero(labels == 1)
-    neg_idx = np.flatnonzero(labels == 0)
+    z = np.asarray(logits, dtype=np.float64).reshape(-1)
+    y = np.asarray(labels, dtype=np.float64)
+    k = len(z)
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-z))
+    bce = (y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)).sum() * (1.0 / k)
+    grad = (sig - y) * (1.0 / k)
+    pos_idx = np.flatnonzero(y == 1)
+    neg_idx = np.flatnonzero(y == 0)
+    rank = 0.0
     if len(pos_idx) and len(neg_idx):
-        lp = gather_rows(open_logits, pos_idx)
-        ln = reshape(gather_rows(open_logits, neg_idx), (1, -1))
-        rank = tmean(relu(margin - (lp - ln)))
-    else:
-        rank = Tensor(0.0)
-    return bce + rank, bce, rank
+        short = margin - (z[pos_idx, None] - z[None, neg_idx])
+        active = short > 0.0
+        scale = 1.0 / active.size
+        rank = (short * active).sum() * scale
+        grad[pos_idx] -= active.sum(axis=1) * scale
+        grad[neg_idx] += active.sum(axis=0) * scale
+    return LossTerms(total=float(bce + rank), bce=float(bce), rank=float(rank), grad=grad)
+
+
+@dataclass
+class _Prepared:
+    """A training example as arrays: built once, read in every epoch."""
+
+    arrays: _SnapshotArrays
+    labels: np.ndarray           # 0/1 per open node, in open_ids order
+
+
+def _prepare(example, hyper: GnnHyper,
+             fingerprints: dict[str, np.ndarray] | None = None) -> _Prepared:
+    if isinstance(example, _Prepared):
+        return example
+    arrays = _snapshot_arrays(example.snapshot, hyper, fingerprints)
+    if sorted(example.labels) != arrays.open_ids:
+        raise ValueError(
+            f"label keys {sorted(example.labels)} do not match open nodes "
+            f"{arrays.open_ids}"
+        )
+    labels = np.array([example.labels[i] for i in arrays.open_ids], dtype=np.float64)
+    return _Prepared(arrays, labels)
 
 
 def example_loss(example, params: GnnParameters, training: bool = False,
-                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Loss terms for one training example (snapshot plus open-node labels)."""
-    out = forward(example.snapshot, params, training, rng)
-    if sorted(example.labels) != out.open_ids:
-        raise ValueError(
-            f"label keys {sorted(example.labels)} do not match open nodes "
-            f"{out.open_ids}"
-        )
-    open_logits = gather_rows(out.all_logits, np.array(out.open_ids, dtype=np.int64))
-    labels = np.array([example.labels[i] for i in out.open_ids], dtype=np.float64)
-    return loss_terms(open_logits, labels, params.hyper.margin)
+                 rng: np.random.Generator | None = None) -> LossTerms:
+    """Loss terms for one training example (snapshot plus open-node labels).
+    In training mode (dropout on) the total loss's gradient is also added
+    into every parameter's ``.grad``, once the loss is known to be finite."""
+    ex = _prepare(example, params.hyper)
+    logits, tape = _forward(ex.arrays, params, training, rng)
+    terms = loss_terms(logits, ex.labels, params.hyper.margin)
+    if not math.isfinite(terms.total):
+        raise FloatingPointError("non-finite loss produced by the policy network")
+    if training:
+        _backward(ex.arrays, params, tape, terms.grad)
+    return terms
 
 
 @dataclass
@@ -503,10 +671,10 @@ def evaluate(examples, params: GnnParameters) -> dict:
         raise ValueError("cannot evaluate on an empty dataset")
     bce = rank = total = 0.0
     for ex in examples:
-        t, b, r = example_loss(ex, params, training=False)
-        total += t.data.item()
-        bce += b.data.item()
-        rank += r.data.item()
+        terms = example_loss(ex, params, training=False)
+        total += terms.total
+        bce += terms.bce
+        rank += terms.rank
     n = len(examples)
     return {"bce": bce / n, "rank": rank / n, "total": total / n}
 
@@ -515,8 +683,8 @@ def pairwise_accuracy(examples, params: GnnParameters) -> float:
     """Share of positive/negative open-node pairs ranked correctly."""
     correct = count = 0
     for ex in examples:
-        out = forward(ex.snapshot, params, training=False)
-        raw = out.all_logits.data[out.open_ids, 0].tolist()
+        out = forward(ex.snapshot, params)
+        raw = out.logits.tolist()
         pos = [r for i, r in zip(out.open_ids, raw) if ex.labels[i] == 1]
         neg = [r for i, r in zip(out.open_ids, raw) if ex.labels[i] == 0]
         for p in pos:
@@ -533,13 +701,17 @@ def train(train_set, val_set, hyper: GnnHyper, seed: int = 0, epochs: int = 20,
     """Minibatch Adam training; per-graph losses are averaged within each
     batch, and the checkpoint with the lowest validation rank loss wins.
 
-    Deterministic for a fixed seed: shuffling and dropout draw from seeded
-    generators only.
+    Each example's arrays are built once, with one fingerprint per distinct
+    molecule. Deterministic for a fixed seed: shuffling and dropout draw
+    from seeded generators only.
     """
     if not train_set or not val_set:
         raise ValueError("training needs non-empty train and validation sets")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
+    fingerprints: dict[str, np.ndarray] = {}
+    train_set = [_prepare(ex, hyper, fingerprints) for ex in train_set]
+    val_set = [_prepare(ex, hyper, fingerprints) for ex in val_set]
     params = GnnParameters(hyper, seed=seed)
     adam = AdamState(params.tensors(), lr=lr)
     shuffle_rng = np.random.default_rng([seed, 11])
@@ -553,13 +725,17 @@ def train(train_set, val_set, hyper: GnnHyper, seed: int = 0, epochs: int = 20,
             drop_rng = np.random.default_rng([seed, 7, epoch, step])
             zero_grads(params.tensors())
             for ex in batch:
-                t, b, r = example_loss(ex, params, training=True, rng=drop_rng)
-                sums["bce"] += b.data.item()
-                sums["rank"] += r.data.item()
-                sums["total"] += t.data.item()
-                # one backward per example frees its tape before the next is
-                # built; gradients accumulate on the parameters until the step
-                (t * (1.0 / len(batch))).backward()
+                # each example's tapes are freed before the next is built;
+                # gradients accumulate on the parameters until the step
+                terms = example_loss(ex, params, training=True, rng=drop_rng)
+                sums["bce"] += terms.bce
+                sums["rank"] += terms.rank
+                sums["total"] += terms.total
+            grads = [t.grad for t in params.tensors() if t.grad is not None]
+            for g in grads:
+                g *= 1.0 / len(batch)
+            if not all(np.isfinite(g).all() for g in grads):
+                raise FloatingPointError("non-finite gradient in the policy network")
             adam.step()
         val = evaluate(val_set, params)
         row = {

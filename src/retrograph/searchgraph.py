@@ -27,7 +27,10 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 from .molspace import Inventory, MoleculeId, Reaction
 
@@ -270,34 +273,47 @@ class SearchGraph:
         return all(self.nodes[t].success for t in self.targets)
 
     def check_invariants(self) -> None:
-        """Structural sanity sweep; raises ContractViolation on breakage."""
+        """Structural sanity sweep; raises ContractViolation on breakage.
+        The edge checks run on flat arrays of every succ and pred entry."""
+        n = len(self.nodes)
+        is_rxn = np.fromiter((node.kind == "reaction" for node in self.nodes), bool, n)
+        n_succ = np.fromiter(map(len, self.succ), np.int64, n)
+        n_pred = np.fromiter(map(len, self.pred), np.int64, n)
+        src = np.repeat(np.arange(n), n_succ)
+        dst = np.fromiter(chain.from_iterable(self.succ), np.int64, int(n_succ.sum()))
+        # every pred entry p of node s as the key p * n + s, sorted, then a
+        # sentinel above every key
+        back_links = np.append(np.sort(
+            np.fromiter(chain.from_iterable(self.pred), np.int64, int(n_pred.sum())) * n
+            + np.repeat(np.arange(n), n_pred)), n * n)
+        keys = src * n + dst
+
+        def first(mask: np.ndarray) -> int | None:
+            hits = np.flatnonzero(mask)
+            return int(hits[0]) if len(hits) else None
+
+        if (e := first(is_rxn[src] == is_rxn[dst])) is not None:
+            raise ContractViolation(f"edge {src[e]}->{dst[e]} is not bipartite")
+        if (e := first(back_links[np.searchsorted(back_links, keys)] != keys)) is not None:
+            raise ContractViolation(f"edge {src[e]}->{dst[e]} missing back-link")
+        if (i := first(is_rxn & (n_pred != 1))) is not None:
+            raise ContractViolation(f"reaction node {i} has {n_pred[i]} products")
+        if (i := first(is_rxn & (n_succ == 0))) is not None:
+            raise ContractViolation(f"reaction node {i} has no reactants")
+        for i in np.flatnonzero(~is_rxn & (n_succ > 0)).tolist():
+            if self.nodes[i].in_inventory:
+                raise ContractViolation(f"inventory node {i} was expanded")
+            if self.nodes[i].open:
+                raise ContractViolation(f"open node {i} has successors")
+        molecules = [node for node in self.nodes if node.kind == "molecule"]
         seen: dict[MoleculeId, NodeId] = {}
-        for node in self.nodes:
-            for s in self.succ[node.id]:
-                if self.nodes[s].kind == node.kind:
-                    raise ContractViolation(f"edge {node.id}->{s} is not bipartite")
-                if node.id not in self.pred[s]:
-                    raise ContractViolation(f"edge {node.id}->{s} missing back-link")
-            if node.kind == "reaction":
-                if len(self.pred[node.id]) != 1:
-                    raise ContractViolation(
-                        f"reaction node {node.id} has {len(self.pred[node.id])} products"
-                    )
-                if not self.succ[node.id]:
-                    raise ContractViolation(f"reaction node {node.id} has no reactants")
-            else:
-                if node.in_inventory and self.succ[node.id]:
-                    raise ContractViolation(f"inventory node {node.id} was expanded")
-                if node.open and self.succ[node.id]:
-                    raise ContractViolation(f"open node {node.id} has successors")
-                if self.dedup:
-                    if node.molecule in seen:
-                        raise ContractViolation(
-                            f"molecule {node.molecule!r} duplicated at nodes "
-                            f"{seen[node.molecule]} and {node.id}"
-                        )
-                    seen[node.molecule] = node.id
-        molecules = [n for n in self.nodes if n.kind == "molecule"]
+        for node in molecules if self.dedup else ():
+            if node.molecule in seen:
+                raise ContractViolation(
+                    f"molecule {node.molecule!r} duplicated at nodes "
+                    f"{seen[node.molecule]} and {node.id}"
+                )
+            seen[node.molecule] = node.id
         if {n.id for n in molecules if n.open} != self._open:
             raise ContractViolation("open-node index out of sync with node table")
         if (self._molecules, self._reactions) != (len(molecules),

@@ -1,6 +1,6 @@
 """Acceptance suite: ten package-level criteria, one test and one summary
-line each, plus a check that the planner's GNN scores match the training
-path's forward pass on the graphs criterion 08 plans.
+line each, plus a check that the planner's GNN scores match a cold forward
+pass on the graphs criterion 08 plans.
 
 References here are written independently of the library code they check:
 a full-sweep success fixpoint, full-sweep value iteration for proof costs,
@@ -25,7 +25,7 @@ from retrograph.molspace import (
     Reaction,
     TableDomain,
 )
-from retrograph.numerics import Tensor, rbf
+from retrograph.numerics import rbf, zero_grads
 from retrograph.planner import (
     PlanConfig,
     batch_plan,
@@ -383,10 +383,10 @@ class TestGradientCheck:
             params = policygnn.GnnParameters(FD_HYPER, seed=seed)
 
             def loss_value():
-                return policygnn.example_loss(ex, params)[0].data.item()
+                return policygnn.example_loss(ex, params).total
 
-            total, _, _ = policygnn.example_loss(ex, params)
-            total.backward()
+            zero_grads(params.tensors())
+            policygnn.example_loss(ex, params, training=True)
             for name, tensor in params.named_tensors():
                 flat_grad = (None if tensor.grad is None
                              else tensor.grad.reshape(-1))
@@ -492,12 +492,12 @@ class TestGuidanceBenefit:
 
     def test_08_score_matches_forward_on_guided_snapshots(self, trained_network,
                                                           monkeypatch):
-        # planning scores open nodes on a tape-free path that prunes the last
-        # layer and reuses the previous iteration's first-layer rows. On the
-        # graphs criterion 08 plans, a cold score must equal the training
-        # path to 1e-12 relative per logit. The warm logits the planner priced
-        # with are held to 1e-12 of the snapshot's largest |logit|: a reused
-        # row was computed in a smaller matrix batch, whose last bits may
+        # planning scores open nodes through a memo that reuses the previous
+        # iteration's first-layer rows. On the graphs criterion 08 plans, a
+        # cold score runs the same layers as forward and must equal it to
+        # 1e-12 relative per logit. The warm logits the planner priced with
+        # are held to 1e-12 of the snapshot's largest |logit|: a reused row
+        # was computed in a smaller matrix batch, whose last bits may
         # differ, and a logit near zero magnifies that relative gap
         tn = trained_network
         params = tn["result"].params
@@ -516,7 +516,7 @@ class TestGuidanceBenefit:
         assert len(priced) >= 100
         for snap, warm in priced:
             out = policygnn.forward(snap, params)
-            want = out.all_logits.data[out.open_ids, 0]
+            want = out.logits
             got = cold_score(snap, params).logit
             assert list(got) == list(warm) == out.open_ids
             np.testing.assert_allclose([got[i] for i in out.open_ids], want,
@@ -533,19 +533,17 @@ class TestClosedForms:
         grid = rbf(5.0, 0.0, 10.0, 64, tau=25.0)
         assert grid[32] == 1.0
 
-        logits = Tensor(np.zeros((4, 1)))
+        logits = np.zeros(4)
         labels = np.array([1.0, 0.0, 1.0, 0.0])
-        _, bce, _ = policygnn.loss_terms(logits, labels, margin=4.0)
-        assert bce.data.item() == pytest.approx(np.log(2.0), abs=1e-12)
+        bce = policygnn.loss_terms(logits, labels, margin=4.0).bce
+        assert bce == pytest.approx(np.log(2.0), abs=1e-12)
 
-        spread = Tensor(np.array([[4.0], [0.0]]))
-        _, _, rank_hit = policygnn.loss_terms(spread, np.array([1.0, 0.0]),
-                                              margin=4.0)
-        assert rank_hit.data.item() == 0.0
-        near = Tensor(np.array([[3.9990234375], [0.0]]))
-        _, _, rank_miss = policygnn.loss_terms(near, np.array([1.0, 0.0]),
-                                               margin=4.0)
-        assert rank_miss.data.item() > 0.0
+        spread = np.array([4.0, 0.0])
+        rank_hit = policygnn.loss_terms(spread, np.array([1.0, 0.0]), margin=4.0).rank
+        assert rank_hit == 0.0
+        near = np.array([3.9990234375, 0.0])
+        rank_miss = policygnn.loss_terms(near, np.array([1.0, 0.0]), margin=4.0).rank
+        assert rank_miss > 0.0
 
         dom = AdditiveSplitDomain(seed=0)
         inv = Inventory.integer_range(3)

@@ -66,3 +66,38 @@ def test_traced_gnn_plan_scores_once_per_iteration(tracing, tmp_path):
     assert len(plans) == 2 and iterations > 0
     assert len(tracer.spans_named("policygnn.score", first)) == iterations
     assert tracer.check_errors == []
+
+
+def test_traced_train_runs_through_the_wrapped_layers(tracing, tmp_path):
+    # training must reach the network through the wrapped example_loss (one
+    # span per example per epoch: train and validation) and meta_layer, and
+    # hash each distinct molecule of the dataset once
+    from retrograph import cli, traindata
+
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps({
+        "hidden": 8, "rbf_n": 4, "layers": 2, "bits": 32, "epochs": 2,
+        "lr": 1e-3, "train_batch": 4, "val_n": 2, "drop_rate": 0.0,
+        "full_k": True}))
+    targets = tmp_path / "targets.txt"
+    targets.write_text("9\n12\n")
+    assert cli.main(["gen-data", "--config", str(config), "--domain",
+                     "additive-split", "--targets", str(targets), "--budget", "20",
+                     "--k", "6", "--seed", "0", "--out", str(tmp_path / "data")]) == 0
+    dataset = traindata.load_dataset(tmp_path / "data" / "dataset.jsonl")
+    molecules = {nd["key"] for ex in dataset for nd in ex.snapshot["nodes"]
+                 if nd["kind"] == "molecule"}
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, traced=True)
+        first = tracer.begin_pass()
+        rc = cli.main(["train", "--config", str(config), "--targets",
+                       str(tmp_path / "data" / "dataset.jsonl"), "--seed", "0",
+                       "--out", str(tmp_path / "model")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0 and len(dataset) >= 4
+    assert len(tracer.spans_named("policygnn.example_loss", first)) == 2 * len(dataset)
+    assert len(tracer.spans_named("policygnn.meta_layer", first)) > 0
+    assert len(tracer.spans_named("molspace.features", first)) == len(molecules)
+    assert tracer.check_errors == []

@@ -252,7 +252,7 @@ class TestGnnCost:
         for snap, logits, memo in priced:
             assert memo is model._memo
             out = policygnn.forward(snap, params)
-            want = out.all_logits.data[out.open_ids, 0]
+            want = out.logits
             cold = cold_score(snap, params).logit
             assert list(logits) == list(cold) == out.open_ids
             for got in (logits, cold):
@@ -262,13 +262,13 @@ class TestGnnCost:
     def test_warm_memo_skips_unchanged_edge_rows(self, monkeypatch):
         params = policygnn.GnnParameters(SMALL_HYPER, seed=3)
         block = params.layer_blocks[0].edge
-        infer, sent, edges = block.infer, [], []
+        after_first, sent, edges = block.after_first, [], []
 
-        def counting(x):
-            sent.append(len(x))
-            return infer(x)
+        def counting(h1, *args):
+            sent.append(len(h1))
+            return after_first(h1, *args)
 
-        monkeypatch.setattr(block, "infer", counting)
+        monkeypatch.setattr(block, "after_first", counting)
 
         class Recording(GnnCost):
             def open_costs(self, graph):

@@ -26,6 +26,7 @@ from retrograph.numerics import (
     reshape,
     save_weights,
     segment_mean,
+    segment_sum,
     softplus,
     tile_rows,
     tmean,
@@ -67,6 +68,36 @@ def check_grads(build, arrays, rtol=1e-6, atol=1e-8):
         fd = numeric_grad(f, [a.copy() for a in arrays], i)
         assert t.grad is not None, f"missing grad for input {i}"
         np.testing.assert_allclose(t.grad, fd, rtol=rtol, atol=atol)
+
+
+def check_block_grads(block):
+    """The array block's hand-written backward against central differences
+    of sum(y * y). Dropout masks come from the same seed in every
+    evaluation; nonzero biases keep a dropped row off the relu kink."""
+    for b in (block.b1, block.b2, block.b3):
+        b.data = RNG.normal(size=b.data.shape)
+    x = RNG.normal(size=(3, block.in_width))
+
+    def run(x):
+        return block(x, training=True, rng=np.random.default_rng(3))
+
+    zero_grads(block.parameters())
+    y, tape = run(x)
+    gx = block.backward(tape, 2.0 * y)
+    params = block.parameters()
+    hold = [p.data.copy() for p in params] + [x]
+
+    def f(arrs):
+        for p, a in zip(params, arrs):
+            p.data = a
+        out = float(np.sum(run(arrs[-1])[0] ** 2))
+        for p, a in zip(params, hold):
+            p.data = a
+        return out
+
+    for i, got in enumerate([p.grad for p in params] + [gx]):
+        fd = numeric_grad(f, [h.copy() for h in hold], i)
+        np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-7)
 
 
 RNG = np.random.default_rng(1234)
@@ -135,27 +166,30 @@ class TestGradients:
         assert x.grad is not None and x.grad.item() == pytest.approx(8.0)
 
     def test_mlp_block_gradients(self):
-        rng = np.random.default_rng(7)
-        block = MlpBlock(5, 4, 0.0, rng)
-        x = RNG.normal(size=(3, 5))
-        xt = Tensor(x, requires_grad=True)
-        loss = tsum(block(xt) * block(xt))
-        loss.backward()
+        check_block_grads(MlpBlock(5, 4, 0.0, np.random.default_rng(7)))
 
-        params = block.parameters() + [xt]
-        hold = [p.data.copy() for p in params]
+    def test_mlp_block_gradients_equal_width(self):
+        check_block_grads(MlpBlock(4, 4, 0.0, np.random.default_rng(8)))
 
-        def f(arrs):
-            for p, a in zip(params, arrs):
-                p.data = a
-            out = tsum(block(Tensor(arrs[-1])) * block(Tensor(arrs[-1]))).data.item()
-            for p, a in zip(params, hold):
-                p.data = a
-            return out
+    def test_mlp_block_gradients_with_dropout(self):
+        check_block_grads(MlpBlock(5, 4, 0.4, np.random.default_rng(7)))
 
-        for i, p in enumerate(params):
-            fd = numeric_grad(f, [h.copy() for h in hold], i)
-            np.testing.assert_allclose(p.grad, fd, rtol=1e-5, atol=1e-7)
+    def test_mlp_block_after_first_matches_call(self):
+        # a caller-formed first layer gives the same output and gradients
+        block = MlpBlock(6, 3, 0.0, np.random.default_rng(2))
+        x = RNG.normal(size=(4, 6))
+        y, tape = block(x, training=True)
+        g = RNG.normal(size=y.shape)
+        block.backward(tape, g)
+        want = [p.grad.copy() for p in block.parameters()[2:]]
+        zero_grads(block.parameters())
+        y2, tape2 = block.after_first(x @ block.w1.data + block.b1.data, training=True)
+        np.testing.assert_array_equal(y2, y)
+        g1 = block.backward_after_first(tape2, g)
+        for got, ref in zip([p.grad for p in block.parameters()[2:]], want):
+            np.testing.assert_array_equal(got, ref)
+        assert block.w1.grad is None
+        np.testing.assert_allclose(x.T @ g1, tape.x.T @ g1)
 
 
 class TestTensorBasics:
@@ -230,6 +264,15 @@ class TestSegmentOps:
         out = gather_rows(a, np.array([2, 0, 2]))
         np.testing.assert_allclose(out.data, [[3.0], [1.0], [3.0]])
 
+    def test_segment_sum_matches_add_at_bits(self):
+        data = RNG.normal(size=(40, 7))
+        seg = RNG.integers(0, 9, size=40)
+        want = np.zeros((12, 7))
+        np.add.at(want, seg, data)
+        np.testing.assert_array_equal(segment_sum(data, seg, 12), want)
+        empty = segment_sum(np.zeros((0, 7)), np.zeros(0, dtype=np.int64), 3)
+        assert empty.dtype == np.float64 and not empty.any() and empty.shape == (3, 7)
+
     def test_tile_rows_rejects_multirow(self):
         with pytest.raises(ValueError):
             tile_rows(Tensor(np.ones((2, 3))), 4)
@@ -239,19 +282,19 @@ class TestMlpBlock:
     def test_wrong_input_width_rejected(self):
         block = MlpBlock(4, 4, 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            block(Tensor(np.ones((2, 5))))
+            block(np.ones((2, 5)))
 
     def test_training_without_rng_rejected(self):
         block = MlpBlock(4, 4, 0.2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            block(Tensor(np.ones((2, 4))), training=True)
+            block(np.ones((2, 4)), training=True)
 
     def test_zero_weights_equal_width_is_identity(self):
         block = MlpBlock(3, 3, 0.0, np.random.default_rng(0))
         for p in block.parameters():
             p.data = np.zeros_like(p.data)
         x = np.array([[1.0, -2.0, 3.0]])
-        np.testing.assert_allclose(block(Tensor(x)).data, x)
+        np.testing.assert_allclose(block(x)[0], x)
 
     def test_zero_weights_projection_is_zero(self):
         # with a projecting first layer the residual is the projected path,
@@ -259,12 +302,14 @@ class TestMlpBlock:
         block = MlpBlock(5, 3, 0.0, np.random.default_rng(0))
         for p in block.parameters():
             p.data = np.zeros_like(p.data)
-        out = block(Tensor(np.ones((2, 5))))
-        np.testing.assert_allclose(out.data, np.zeros((2, 3)))
+        out, _ = block(np.ones((2, 5)))
+        np.testing.assert_allclose(out, np.zeros((2, 3)))
 
     def test_output_shape(self):
         block = MlpBlock(7, 4, 0.0, np.random.default_rng(1))
-        assert block(Tensor(np.ones((6, 7)))).shape == (6, 4)
+        out, tape = block(np.ones((6, 7)))
+        assert out.shape == (6, 4)
+        assert tape is None     # no tape outside training
 
 
 class TestKaiming:

@@ -1,10 +1,10 @@
 """Policy-network tests.
 
 The vectorized forward pass is verified against a from-scratch reference
-that walks nodes and edges one at a time with plain numpy; gradients are
-verified against central finite differences. Closed-form loss values
-(ln 2 cross-entropy at zero logits, margin-sized rank loss at zero gap)
-were computed by hand.
+that walks nodes and edges one at a time with plain numpy; the
+hand-written gradients are verified against central finite differences.
+Closed-form loss values (ln 2 cross-entropy at zero logits, margin-sized
+rank loss at zero gap) were computed by hand.
 """
 
 import math
@@ -16,7 +16,7 @@ import pytest
 
 from retrograph import policygnn
 from retrograph.molspace import AdditiveSplitDomain, Inventory, Reaction, features
-from retrograph.numerics import Tensor
+from retrograph.numerics import AdamState, zero_grads
 from retrograph.policygnn import (
     GnnHyper,
     GnnParameters,
@@ -151,17 +151,17 @@ class TestForwardAgainstReference:
         snap = fixture_graph().snapshot()
         out = forward(snap, params)
         ref = ref_forward(snap, params)
-        got = out.all_logits.data[:, 0]
-        for i in range(len(snap["nodes"])):
-            assert got[i] == pytest.approx(ref[i], rel=1e-9, abs=1e-12), f"node {i}"
+        assert len(out.logits) == len(out.open_ids) == 3
+        for got, i in zip(out.logits, out.open_ids):
+            assert got == pytest.approx(ref[i], rel=1e-9, abs=1e-12), f"node {i}"
 
     def test_single_node_graph_no_edges(self):
         params = GnnParameters(HYPER, seed=2)
         snap = single_node_graph().snapshot()
         out = forward(snap, params)
         ref = ref_forward(snap, params)
-        assert out.all_logits.shape == (1, 1)
-        assert out.all_logits.data.item() == pytest.approx(ref[0], rel=1e-9)
+        assert out.logits.shape == (1,)
+        assert out.logits[0] == pytest.approx(ref[0], rel=1e-9)
 
     def test_random_graphs(self):
         params = GnnParameters(HYPER, seed=3)
@@ -169,10 +169,20 @@ class TestForwardAgainstReference:
             snap = random_snapshot(900 + seed)
             out = forward(snap, params)
             ref = ref_forward(snap, params)
-            got = out.all_logits.data[:, 0]
             np.testing.assert_allclose(
-                got, [ref[i] for i in range(len(snap["nodes"]))],
-                rtol=1e-9, atol=1e-12)
+                out.logits, [ref[i] for i in out.open_ids], rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_grown_graph_with_many_open_nodes(self, layers):
+        # the last layer computes only the open rows and the edges into them
+        hyper = GnnHyper(hidden=8, rbf_n=4, layers=layers, feature_bits=32,
+                         drop_rate=0.0)
+        snap = growing_snapshots("60", 12)[-1]
+        out = forward(snap, GnnParameters(hyper, seed=layers))
+        ref = ref_forward(snap, GnnParameters(hyper, seed=layers))
+        assert len(out.open_ids) > 10
+        np.testing.assert_allclose(out.logits, [ref[i] for i in out.open_ids],
+                                   rtol=1e-9, atol=1e-12)
 
     def test_open_ids_are_the_open_molecules(self):
         snap = fixture_graph().snapshot()
@@ -200,10 +210,14 @@ class TestPermutationEquivariance:
         rng = np.random.default_rng(0)
         perm = rng.permutation(n).tolist()
         permuted = self.permute_snapshot(snap, perm)
-        base = forward(snap, params).all_logits.data[:, 0]
-        moved = forward(permuted, params).all_logits.data[:, 0]
+        out = forward(snap, params)
+        base = dict(zip(out.open_ids, out.logits))
+        out = forward(permuted, params)
+        moved = dict(zip(out.open_ids, out.logits))
+        assert sorted(perm[new] for new in moved) == sorted(base)
         for new, old in enumerate(perm):
-            assert moved[new] == pytest.approx(base[old], rel=1e-9, abs=1e-12)
+            if old in base:
+                assert moved[new] == pytest.approx(base[old], rel=1e-9, abs=1e-12)
 
 
 class TestScore:
@@ -233,13 +247,12 @@ class TestScore:
 
 
 def assert_score_matches_forward(snap, params):
-    """score's logits equal forward's open-node logits within 1e-12 relative."""
+    """A cold score's logits equal forward's bit for bit: both run the same
+    meta layers on the same rows."""
     out = forward(snap, params)
     got = score(snap, params).logit
     assert list(got) == out.open_ids
-    np.testing.assert_allclose([got[i] for i in out.open_ids],
-                               out.all_logits.data[out.open_ids, 0],
-                               rtol=1e-12, atol=0.0)
+    assert np.array_equal([got[i] for i in out.open_ids], out.logits)
 
 
 def tree_mode_snapshot(target="30", expansions=6):
@@ -272,8 +285,8 @@ WIDE_HYPER = GnnHyper(hidden=64, rbf_n=16, layers=2, feature_bits=256,
 
 
 class TestScoreMatchesForward:
-    """score takes its own tape-free path, pruned in the last layer; its
-    logits must match the training path's to 1e-12 relative."""
+    """score runs forward's layers, with its first layer through an empty
+    memo; its logits must equal forward's exactly."""
 
     def test_fixture_graph(self):
         for hyper in (HYPER, WIDE_HYPER):
@@ -365,7 +378,7 @@ def assert_warm_matches_cold(snaps, params):
     for snap in snaps:
         warm = score(snap, params, memo).logit
         out = forward(snap, params)
-        want = out.all_logits.data[out.open_ids, 0]
+        want = out.logits
         assert_within_scale(warm, want, out.open_ids)
         assert_within_scale(warm, np.array(list(score(snap, params).logit.values())),
                             out.open_ids)
@@ -455,44 +468,47 @@ class TestInferenceMemo:
 
 class TestLossClosedForms:
     def test_bce_at_zero_logits_is_ln2(self):
-        logits = Tensor(np.zeros((3, 1)))
-        total, bce, rank = loss_terms(logits, np.array([1.0, 0.0, 1.0]), 4.0)
-        assert bce.data.item() == pytest.approx(math.log(2.0), abs=1e-15)
+        terms = loss_terms(np.zeros(3), np.array([1.0, 0.0, 1.0]), 4.0)
+        assert terms.bce == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_rank_at_zero_gap_equals_margin(self):
-        logits = Tensor(np.zeros((2, 1)))
-        total, bce, rank = loss_terms(logits, np.array([1.0, 0.0]), 4.0)
-        assert rank.data.item() == pytest.approx(4.0)
-        assert total.data.item() == pytest.approx(4.0 + math.log(2.0))
+        terms = loss_terms(np.zeros(2), np.array([1.0, 0.0]), 4.0)
+        assert terms.rank == pytest.approx(4.0)
+        assert terms.total == pytest.approx(4.0 + math.log(2.0))
 
     def test_rank_vanishes_exactly_at_margin(self):
         labels = np.array([1.0, 0.0])
-        at_margin = Tensor(np.array([[4.0], [0.0]]))
-        _, _, rank = loss_terms(at_margin, labels, 4.0)
-        assert rank.data.item() == 0.0
-        below = Tensor(np.array([[3.9], [0.0]]))
-        _, _, rank = loss_terms(below, labels, 4.0)
-        assert rank.data.item() == pytest.approx(0.1)
+        assert loss_terms(np.array([4.0, 0.0]), labels, 4.0).rank == 0.0
+        below = loss_terms(np.array([3.9, 0.0]), labels, 4.0)
+        assert below.rank == pytest.approx(0.1)
 
     def test_rank_zero_without_pairs(self):
-        logits = Tensor(np.zeros((2, 1)))
-        _, bce, rank = loss_terms(logits, np.array([1.0, 1.0]), 4.0)
-        assert rank.data.item() == 0.0
-        _, _, rank = loss_terms(logits, np.array([0.0, 0.0]), 4.0)
-        assert rank.data.item() == 0.0
+        logits = np.zeros(2)
+        assert loss_terms(logits, np.array([1.0, 1.0]), 4.0).rank == 0.0
+        assert loss_terms(logits, np.array([0.0, 0.0]), 4.0).rank == 0.0
 
     def test_rank_averages_all_pairs(self):
         # pos {2, 0}, neg {1}: relu(4-(2-1))=3, relu(4-(0-1))=5, mean 4
-        logits = Tensor(np.array([[2.0], [0.0], [1.0]]))
-        _, _, rank = loss_terms(logits, np.array([1.0, 1.0, 0.0]), 4.0)
-        assert rank.data.item() == pytest.approx(4.0)
+        terms = loss_terms(np.array([2.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0]), 4.0)
+        assert terms.rank == pytest.approx(4.0)
 
     def test_bce_hand_value(self):
         # single node, label 1, logit 2: softplus(-2)
-        logits = Tensor(np.array([[2.0]]))
-        _, bce, _ = loss_terms(logits, np.array([1.0]), 4.0)
-        assert bce.data.item() == pytest.approx(math.log(1 + math.exp(-2.0)),
-                                                abs=1e-15)
+        terms = loss_terms(np.array([2.0]), np.array([1.0]), 4.0)
+        assert terms.bce == pytest.approx(math.log(1 + math.exp(-2.0)), abs=1e-15)
+
+    def test_gradient_hand_values(self):
+        # bce: (sigmoid(z) - y) / k; rank: pos 2 is short of both negatives
+        # (gaps 2 and 3), pos 9 of neither; each short pair moves 1/4
+        z = np.array([2.0, 0.0, -1.0, 9.0])
+        y = np.array([1.0, 0.0, 0.0, 1.0])
+        sig = 1.0 / (1.0 + np.exp(-z))
+        want = (sig - y) / 4 + np.array([-0.5, 0.25, 0.25, 0.0])
+        np.testing.assert_allclose(loss_terms(z, y, 4.0).grad, want, rtol=1e-15)
+        # at exactly the margin the pair is not short: no rank gradient
+        at = loss_terms(np.array([4.0, 0.0]), np.array([1.0, 0.0]), 4.0)
+        np.testing.assert_allclose(at.grad, (1.0 / (1.0 + np.exp(-np.array([4.0, 0.0])))
+                                             - [1.0, 0.0]) / 2, rtol=1e-15)
 
 
 class TestExampleLoss:
@@ -507,55 +523,114 @@ class TestExampleLoss:
         params = GnnParameters(HYPER, seed=0)
         out = forward(snap, params)
         labels = {i: (1 if j == 0 else 0) for j, i in enumerate(out.open_ids)}
-        total, bce, rank = example_loss(Example(snap, labels), params)
-        raw = out.all_logits.data[out.open_ids, 0]
+        terms = example_loss(Example(snap, labels), params)
+        raw = out.logits
         y = np.array([labels[i] for i in out.open_ids], dtype=float)
         want_bce = np.mean(y * np.logaddexp(0, -raw) + (1 - y) * np.logaddexp(0, raw))
-        assert bce.data.item() == pytest.approx(want_bce, rel=1e-12)
+        assert terms.bce == pytest.approx(want_bce, rel=1e-12)
         gaps = raw[y == 1][:, None] - raw[y == 0][None, :]
         want_rank = np.mean(np.maximum(4.0 - gaps, 0.0))
-        assert rank.data.item() == pytest.approx(want_rank, rel=1e-12)
+        assert terms.rank == pytest.approx(want_rank, rel=1e-12)
+        assert terms.total == terms.bce + terms.rank
+
+
+def check_gradients(ex, params, rng, drop_seed=None, probes=2):
+    """example_loss's hand-written gradient of every parameter against
+    central differences at *probes* random entries each. With *drop_seed*
+    every evaluation draws its dropout masks from that seed. The last
+    layer's global update feeds nothing, so its parameters must get no
+    gradient at all."""
+    def run():
+        drop = None if drop_seed is None else np.random.default_rng(drop_seed)
+        return example_loss(ex, params, training=True, rng=drop)
+
+    zero_grads(params.tensors())
+    run()
+    grads = {name: t.grad for name, t in params.named_tensors()}
+
+    def loss_value():
+        zero_grads(params.tensors())
+        return run().total
+
+    dead = f"layer{params.hyper.layers - 1}.glob."
+    for name, tensor in params.named_tensors():
+        if name.startswith(dead):
+            # the last global update feeds nothing: the logit head reads
+            # node states only, so these parameters get no gradient
+            assert grads[name] is None
+            continue
+        assert grads[name] is not None, f"{name} got no gradient"
+        size = tensor.data.size
+        for idx in rng.choice(size, size=min(probes, size), replace=False):
+            # .flat writes through even on non-contiguous arrays
+            w = tensor.data.flat[idx]
+            h = 1e-4 * max(1.0, abs(w))
+            tensor.data.flat[idx] = w + h
+            up = loss_value()
+            tensor.data.flat[idx] = w - h
+            down = loss_value()
+            tensor.data.flat[idx] = w
+            fd = (up - down) / (2 * h)
+            ad = grads[name].flat[idx]
+            rel = abs(ad - fd) / max(1e-8, abs(ad), abs(fd))
+            assert rel <= 1e-4, f"{name}[{idx}]: ad={ad} fd={fd} rel={rel}"
+    zero_grads(params.tensors())
+
+
+def alternating_labels(snap):
+    open_ids = sorted(i for i, nd in enumerate(snap["nodes"])
+                      if nd["kind"] == "molecule" and nd["open"])
+    return {i: (1 if j % 2 == 0 else 0) for j, i in enumerate(open_ids)}
 
 
 class TestGradientsAgainstFiniteDifferences:
     def test_loss_gradient_every_tensor(self):
         params = GnnParameters(HYPER, seed=8)
         snap = fixture_graph().snapshot()
-        out = forward(snap, params)
-        labels = {i: (1 if j % 2 == 0 else 0) for j, i in enumerate(out.open_ids)}
-        ex = Example(snap, labels)
+        ex = Example(snap, alternating_labels(snap))
+        check_gradients(ex, params, np.random.default_rng(0))
 
-        def loss_value():
-            return example_loss(ex, params)[0].data.item()
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_other_depths(self, layers):
+        hyper = GnnHyper(hidden=8, rbf_n=4, layers=layers, feature_bits=32,
+                         drop_rate=0.0)
+        for seed, snap in enumerate([fixture_graph().snapshot(),
+                                     shared_reactant_snapshot()]):
+            check_gradients(Example(snap, alternating_labels(snap)),
+                            GnnParameters(hyper, seed=seed), np.random.default_rng(seed))
 
-        from retrograph.numerics import zero_grads
+    def test_single_open_node_without_edges(self):
+        snap = single_node_graph().snapshot()
+        assert snap["edges"] == []
+        check_gradients(Example(snap, {0: 1}), GnnParameters(HYPER, seed=2),
+                        np.random.default_rng(1), probes=3)
+
+    def test_with_dropout(self):
+        # the same masks in every evaluation; nonzero biases keep dropped
+        # rows off the relu kinks
+        hyper = GnnHyper(hidden=8, rbf_n=4, layers=2, feature_bits=32, drop_rate=0.3)
+        params = GnnParameters(hyper, seed=5)
+        rng = np.random.default_rng(4)
+        for name, t in params.named_tensors():
+            if name.endswith(("b1", "b2", "b3")):
+                t.data = rng.normal(size=t.data.shape)
+        snap = shared_reactant_snapshot()
+        ex = Example(snap, alternating_labels(snap))
+        a = example_loss(ex, params, training=True, rng=np.random.default_rng(9)).total
+        b = example_loss(ex, params).total
+        assert a != b      # dropout is on
+        check_gradients(ex, params, rng, drop_seed=9, probes=3)
+
+    @pytest.mark.parametrize("name", ["ffn_w", "layer0.edge.w2", "layer1.node.b3",
+                                      "out_w"])
+    def test_non_finite_weight_raises_before_any_gradient(self, name):
+        params = GnnParameters(HYPER, seed=1)
+        dict(params.named_tensors())[name].data.flat[0] = math.nan
+        snap = fixture_graph().snapshot()
         zero_grads(params.tensors())
-        total, _, _ = example_loss(ex, params)
-        total.backward()
-
-        rng = np.random.default_rng(0)
-        dead = f"layer{HYPER.layers - 1}.glob."
-        for name, tensor in params.named_tensors():
-            if name.startswith(dead):
-                # the last global update feeds nothing: the logit head reads
-                # node states only, so these parameters get no gradient
-                assert tensor.grad is None
-                continue
-            assert tensor.grad is not None, f"{name} got no gradient"
-            size = tensor.data.size
-            for idx in rng.choice(size, size=min(2, size), replace=False):
-                # .flat writes through even on non-contiguous arrays
-                w = tensor.data.flat[idx]
-                h = 1e-4 * max(1.0, abs(w))
-                tensor.data.flat[idx] = w + h
-                up = loss_value()
-                tensor.data.flat[idx] = w - h
-                down = loss_value()
-                tensor.data.flat[idx] = w
-                fd = (up - down) / (2 * h)
-                ad = tensor.grad.flat[idx]
-                rel = abs(ad - fd) / max(1e-8, abs(ad), abs(fd))
-                assert rel <= 1e-4, f"{name}[{idx}]: ad={ad} fd={fd} rel={rel}"
+        with pytest.raises(FloatingPointError):
+            example_loss(Example(snap, alternating_labels(snap)), params, training=True)
+        assert all(t.grad is None for t in params.tensors())
 
 
 def make_examples(n, seed, hyper):
@@ -632,6 +707,20 @@ class TestTraining:
                 tracemalloc.stop()
         assert peaks[8] < 1.5 * peaks[1]
 
+    def test_non_finite_weight_stops_before_adam_moves(self, monkeypatch):
+        class Poisoned(GnnParameters):
+            def __init__(self, hyper, seed=0):
+                super().__init__(hyper, seed)
+                self.layer_blocks[0].msg.w3.data[0, 0] = math.nan
+
+        steps = []
+        monkeypatch.setattr(policygnn, "GnnParameters", Poisoned)
+        monkeypatch.setattr(AdamState, "step", lambda self: steps.append(1))
+        examples = make_examples(4, 100, HYPER)
+        with pytest.raises(FloatingPointError):
+            train(examples[:2], examples[2:], HYPER, epochs=1, batch_size=2)
+        assert steps == []
+
     def test_validation_errors(self):
         examples = make_examples(2, 400, HYPER)
         with pytest.raises(ValueError):
@@ -647,7 +736,7 @@ class TestEvalHelpers:
         params = GnnParameters(HYPER, seed=9)
         snap = fixture_graph().snapshot()
         out = forward(snap, params)
-        raw = {i: out.all_logits.data[i, 0] for i in out.open_ids}
+        raw = dict(zip(out.open_ids, out.logits))
         top = max(raw, key=raw.get)
         aligned = Example(snap, {i: int(i == top) for i in out.open_ids})
         assert pairwise_accuracy([aligned], params) == 1.0

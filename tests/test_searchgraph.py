@@ -403,6 +403,35 @@ class TestInvariantChecker:
             with pytest.raises(ContractViolation, match="counters"):
                 g.check_invariants()
 
+    def test_detects_missing_back_link_among_several(self):
+        # T -> {A, B} and T -> {A, C}: A has two parent reactions; drop the
+        # back-link of the second edge into A only
+        inv = Inventory(["I"])
+        g = SearchGraph()
+        t = g.add_target("T", inv)
+        g.merge_expand(t, [Reaction("T", frozenset({"A", "B"}), 1.0),
+                           Reaction("T", frozenset({"A", "C"}), 1.5)], inv)
+        g.check_invariants()
+        (a,) = [n.id for n in g.nodes if n.kind == "molecule" and n.molecule == "A"]
+        assert len(g.pred[a]) == 2
+        dropped = g.pred[a].pop()
+        with pytest.raises(ContractViolation, match=f"edge {dropped}->{a} missing back-link"):
+            g.check_invariants()
+
+    def test_detects_reaction_with_two_products_and_duplicates(self):
+        g, inv = build_fixture()
+        r = next(n.id for n in g.nodes if n.kind == "reaction")
+        m = next(n.id for n in g.nodes if n.kind == "molecule" and not n.open
+                 and r not in g.succ[n.id])
+        g.succ[m].append(r)
+        g.pred[r].append(m)                  # a well-linked second product
+        with pytest.raises(ContractViolation, match="2 products"):
+            g.check_invariants()
+        g, inv = build_fixture()
+        g._new_molecule("B", inv)
+        with pytest.raises(ContractViolation, match="duplicated"):
+            g.check_invariants()
+
     def test_open_nodes_returns_a_copy(self):
         g, inv = build_fixture()
         g.open_nodes().clear()
