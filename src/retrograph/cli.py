@@ -114,7 +114,8 @@ def plan_config(cfg: RunConfig) -> PlanConfig:
 
 def _inputs(cfg: RunConfig) -> tuple[ExpansionOracle, Inventory, list[str]]:
     """The domain, the inventory and the non-blank target lines, checked in
-    that order; a missing or blank target file is a config error."""
+    that order; a missing or blank target file, or a line the domain cannot
+    parse, is a config error."""
     try:
         domain = make_domain(cfg.domain, seed=cfg.seed)
     except (OSError, ValueError) as exc:
@@ -134,7 +135,14 @@ def _inputs(cfg: RunConfig) -> tuple[ExpansionOracle, Inventory, list[str]]:
         lines = Path(cfg.targets).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read targets {cfg.targets}: {exc}") from exc
-    targets = [line.strip() for line in lines if line.strip()]
+    targets = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                domain.canonical(line)
+            except ValueError as exc:
+                raise ConfigError(f"{cfg.targets} line {number}: {exc}") from exc
+            targets.append(line.strip())
     if not targets:
         raise ConfigError(f"no targets in {cfg.targets}")
     return domain, inventory, targets
@@ -221,13 +229,16 @@ def cmd_train(cfg: RunConfig) -> int:
         train_set, val_set = traindata.split(dataset, val_n, cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    hyper = policygnn.GnnHyper(
-        hidden=cfg.hidden, rbf_n=cfg.rbf_n, layers=cfg.layers,
-        feature_bits=cfg.bits, drop_rate=cfg.drop_rate, margin=cfg.margin,
-    )
-    result = policygnn.train(train_set, val_set, hyper, seed=cfg.seed,
-                             epochs=cfg.epochs, batch_size=cfg.train_batch,
-                             lr=cfg.lr)
+    try:
+        hyper = policygnn.GnnHyper(
+            hidden=cfg.hidden, rbf_n=cfg.rbf_n, layers=cfg.layers,
+            feature_bits=cfg.bits, drop_rate=cfg.drop_rate, margin=cfg.margin,
+        )
+        result = policygnn.train(train_set, val_set, hyper, seed=cfg.seed,
+                                 epochs=cfg.epochs, batch_size=cfg.train_batch,
+                                 lr=cfg.lr)
+    except ValueError as exc:
+        raise ConfigError(f"cannot train: {exc}") from exc
     out = _outdir(cfg)
     result.params.save(out / "gnn.bin")
     with open(out / "train_log.csv", "w", newline="", encoding="utf-8") as fh:

@@ -1,13 +1,15 @@
-"""Minimal dense-tensor numerics: float64 arrays with reverse-mode
-gradients, residual MLP blocks, Adam, radial-basis embeddings, and a
-versioned binary weight file.
+"""Minimal dense numerics: a small reverse-mode tape, residual MLP blocks
+on arrays, Adam, radial-basis embeddings, and a versioned binary weight
+file.
 
 Everything is numpy-backed and deterministic for a fixed seed. A
-:class:`Tensor` records a tape for reverse-mode gradients, and any NaN or
-Inf produced by one of its operations raises immediately. :class:`MlpBlock`
-runs on plain arrays instead, with a hand-written backward that adds into
-its parameters' ``.grad``; its callers check finiteness once, on what they
-compute from it.
+:class:`Tensor` records a tape for reverse-mode gradients through the few
+operations the value net's regressor uses (``+``, ``-``, ``*``, ``@``,
+:func:`relu`, :func:`tsum`, :func:`tmean`), and any NaN or Inf they
+produce raises immediately. :class:`MlpBlock` runs on plain arrays
+instead: its caller forms the first affine layer's output, and the block's
+hand-written backward adds into its parameters' ``.grad``; its callers
+check finiteness once, on what they compute from it.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p, _ in pulls)
         self._pulls = tuple(pulls)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -78,27 +76,15 @@ class Tensor:
                 g = pull(node.grad)
                 parent.grad = g if parent.grad is None else parent.grad + g
 
-    # operator sugar; scalars and arrays are wrapped as constants
+    # operator sugar; a scalar or array right operand is wrapped as a constant
     def __add__(self, other):
         return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
 
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -155,67 +141,25 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(a.data * mask, pulls=((a, lambda g: g * mask),))
 
 
-def softplus(a: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, a.data)
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(out, pulls=((a, lambda g: g * s),))
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every entry, as a scalar tensor."""
+    return Tensor(a.data.sum(),
+                  pulls=((a, lambda g: np.broadcast_to(g, a.data.shape).copy()),))
 
 
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    def pull(g: np.ndarray) -> np.ndarray:
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.data.shape).copy()
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), pulls=((a, pull),))
-
-
-def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis, keepdims), _as_tensor(1.0 / count))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_pull(i: int, t: Tensor) -> Pull:
-        sl = [slice(None)] * t.data.ndim
-        sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-        return lambda g: g[tuple(sl)]
-
-    pulls = tuple((t, make_pull(i, t)) for i, t in enumerate(tensors))
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), pulls=pulls)
-
-
-def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    index = np.asarray(index, dtype=np.int64)
-
-    def pull(g: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(a.data)
-        np.add.at(out, index, g)
-        return out
-
-    return Tensor(a.data[index], pulls=((a, pull),))
-
-
-def segment_mean(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Row-wise mean of *a* grouped by segment id; empty segments give a
-    zero row (an empty incoming-edge set contributes no message)."""
-    segments = np.asarray(segments, dtype=np.int64)
-
-    def pull(g: np.ndarray) -> np.ndarray:
-        return g[segments] / _segment_sizes(segments, num_segments)[segments, None]
-
-    return Tensor(segment_mean_array(a.data, segments, num_segments), pulls=((a, pull),))
+def tmean(a: Tensor) -> Tensor:
+    """The mean of every entry, as a scalar tensor."""
+    return mul(tsum(a), _as_tensor(1.0 / a.data.size))
 
 
 def segment_mean_array(data: np.ndarray, segments: np.ndarray,
                        num_segments: int) -> np.ndarray:
-    """:func:`segment_mean` on a plain array (see :func:`segment_sum`)."""
+    """Row-wise mean of *data* grouped by segment id (see
+    :func:`segment_sum`); an empty segment gives a zero row, so an empty
+    incoming-edge set contributes no message."""
     out = segment_sum(data, segments, num_segments)
-    out /= _segment_sizes(segments, num_segments)[:, None]
+    # an empty segment counts as size 1, so its zero sum stays zero
+    out /= np.maximum(np.bincount(segments, minlength=num_segments), 1.0)[:, None]
     return out
 
 
@@ -229,35 +173,6 @@ def segment_sum(data: np.ndarray, segments: np.ndarray,
     out = np.bincount(flat, weights=data.ravel(), minlength=num_segments * width)
     # with no rows at all, bincount returns integer zeros
     return out.astype(np.float64, copy=False).reshape(num_segments, width)
-
-
-def _segment_sizes(segments: np.ndarray, num_segments: int) -> np.ndarray:
-    # an empty segment counts as size 1, so its zero sum stays zero
-    counts = np.bincount(segments, minlength=num_segments).astype(np.float64)
-    return np.maximum(counts, 1.0)
-
-
-def tile_rows(a: Tensor, n: int) -> Tensor:
-    """Repeat a single-row tensor into n rows (for broadcasting a global
-    state to every node or edge)."""
-    if a.data.shape[0] != 1:
-        raise ValueError(f"tile_rows expects a single-row tensor, got {a.data.shape}")
-    return Tensor(np.repeat(a.data, n, axis=0),
-                  pulls=((a, lambda g: g.sum(axis=0, keepdims=True)),))
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = a.data.shape
-    return Tensor(a.data.reshape(shape), pulls=((a, lambda g: g.reshape(old)),))
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted-scale dropout; call only in training mode."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return a
-    return mul(a, Tensor(dropout_mask(a.data.shape, rate, rng)))
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float,
@@ -280,9 +195,8 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
 
 @dataclass
 class BlockTape:
-    """What :meth:`MlpBlock.backward` reads of one forward call."""
+    """What :meth:`MlpBlock.backward_after_first` reads of one forward call."""
 
-    x: np.ndarray | None          # block input (None: h1 formed by the caller)
     h1: np.ndarray
     a1: np.ndarray                # relu(h1), after dropout
     h2: np.ndarray
@@ -294,19 +208,16 @@ class BlockTape:
 class MlpBlock:
     """Three affine layers with ReLU and a residual connection, on arrays.
 
-    For equal input/output width the block computes
-    ``y = x + L3(ReLU(L2(ReLU(L1(x)))))`` with dropout after each ReLU in
-    training mode. When the input is wider (a concatenation), the first
-    affine layer projects it down and the residual applies on the projected
-    path instead. A caller may form that first layer's output itself, for
-    example as a sum of one projection per input part, and pass it to
-    :meth:`after_first`. In training mode each call also returns the tape
-    that :meth:`backward` and :meth:`backward_after_first` read.
+    The caller forms the first affine layer's output ``h1 = L1(x)`` itself,
+    for example as a sum of one projection per input part, and passes it
+    to :meth:`after_first`, which computes ``y = h1 + L3(ReLU(L2(ReLU(h1))))``
+    with dropout after each ReLU in training mode. The residual is always
+    on the first layer's output. :meth:`backward_after_first` reads the
+    tape a training-mode call returns.
     """
 
     def __init__(self, in_width: int, width: int, drop_rate: float,
                  rng: np.random.Generator):
-        self.in_width = in_width
         self.width = width
         self.drop_rate = drop_rate
         self.w1 = Tensor(kaiming_uniform(rng, in_width, width), requires_grad=True)
@@ -319,21 +230,11 @@ class MlpBlock:
     def parameters(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
-    def __call__(self, x: np.ndarray, training: bool = False,
-                 rng: np.random.Generator | None = None
-                 ) -> tuple[np.ndarray, BlockTape | None]:
-        """The block on input rows *x*: (output, tape or None)."""
-        if x.shape[1] != self.in_width:
-            raise ValueError(
-                f"block expects input width {self.in_width}, got {x.shape[1]}"
-            )
-        return self.after_first(x @ self.w1.data + self.b1.data, training, rng, x)
-
     def after_first(self, h1: np.ndarray, training: bool = False,
-                    rng: np.random.Generator | None = None,
-                    x: np.ndarray | None = None) -> tuple[np.ndarray, BlockTape | None]:
-        """The block from its first affine layer's output *h1* on. The
-        residual is *x* for an equal-width block and *h1* otherwise."""
+                    rng: np.random.Generator | None = None
+                    ) -> tuple[np.ndarray, BlockTape | None]:
+        """The block from its first affine layer's output *h1* on:
+        (output, tape in training mode or None)."""
         drop = training and self.drop_rate > 0.0
         if drop and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
@@ -347,13 +248,12 @@ class MlpBlock:
         if drop:
             a2 = a2 * m2
         h3 = a2 @ self.w3.data + self.b3.data
-        residual = x if self.in_width == self.width else h1
-        tape = BlockTape(x, h1, a1, h2, a2, m1, m2) if training else None
-        return residual + h3, tape
+        tape = BlockTape(h1, a1, h2, a2, m1, m2) if training else None
+        return h1 + h3, tape
 
     def backward_after_first(self, tape: BlockTape, g: np.ndarray) -> np.ndarray:
         """Adds the gradients of w2, b2, w3 and b3 for output gradient *g*;
-        returns the gradient of h1 (residual included when it is h1)."""
+        returns the gradient of h1, residual included."""
         add_grad(self.w3, tape.a2.T @ g)
         add_grad(self.b3, g.sum(axis=0))
         g2 = (g @ self.w3.data.T) * (tape.h2 > 0.0)
@@ -364,34 +264,22 @@ class MlpBlock:
         g1 = (g2 @ self.w2.data.T) * (tape.h1 > 0.0)
         if tape.m1 is not None:
             g1 *= tape.m1
-        if self.in_width != self.width:
-            g1 += g
+        g1 += g
         return g1
 
-    def backward(self, tape: BlockTape, g: np.ndarray) -> np.ndarray:
-        """Adds every parameter's gradient for output gradient *g* of a
-        :meth:`__call__`; returns the gradient of its input."""
-        g1 = self.backward_after_first(tape, g)
-        add_grad(self.w1, tape.x.T @ g1)
-        add_grad(self.b1, g1.sum(axis=0))
-        gx = g1 @ self.w1.data.T
-        if self.in_width == self.width:
-            gx += g
-        return gx
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
-    """Adam with bias correction over a fixed parameter list."""
+    """Adam with bias correction over a fixed parameter list (beta1 0.9,
+    beta2 0.999, eps 1e-8)."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         if lr < 0.0:
             raise ValueError(f"learning rate must be >= 0, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -402,11 +290,11 @@ class AdamState:
         self.t += 1
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            p.data = _check_finite(p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+            self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
+            self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * g * g
+            m_hat = self.m[i] / (1.0 - _BETA1 ** self.t)
+            v_hat = self.v[i] / (1.0 - _BETA2 ** self.t)
+            p.data = _check_finite(p.data - self.lr * m_hat / (np.sqrt(v_hat) + _EPS))
 
 
 def rbf(x: float, low: float = 0.0, high: float = 10.0, n: int = 64,

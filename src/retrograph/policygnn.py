@@ -55,6 +55,13 @@ class GnnHyper:
     drop_rate: float = 0.1
     margin: float = 4.0
 
+    def __post_init__(self):
+        for name, low in (("hidden", 1), ("rbf_n", 1), ("feature_bits", 8), ("layers", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 <= self.drop_rate < 1.0:
+            raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
+
     @property
     def rbf_tau(self) -> float:
         return (self.rbf_high - self.rbf_low) ** 2 / 4.0

@@ -44,3 +44,25 @@ def test_wins_follow_the_better_direction(bench_record):
     assert lower["change_over_parent_median"] == 1.0
     assert lower["change"] == {"runs": [1.0, 2.0, 3.0], "q1": 1.5, "median": 2.0,
                                "q3": 2.5}
+
+
+def test_claim_is_optional(bench_record, monkeypatch, tmp_path):
+    # no checkouts and no benchmark runs: every run reports 1.0 per metric
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    run = {"correct": True, "attempted": 1, "failed": 0,
+           "metrics": {m["name"]: {"value": 1.0} for m in bench["end_to_end"]}}
+    monkeypatch.setattr(bench_record, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_record, "checkout",
+                        lambda rev, dest: (dest / "src").mkdir(parents=True, exist_ok=True))
+    monkeypatch.setattr(bench_record, "run_bench", lambda *args: run)
+    argv = ["--parent", "p", "--change", "c", "--what", "w", "--trace-seed", "9",
+            "--workload", "train:2:5", "--work", str(tmp_path / "work")]
+    out = tmp_path / "no_claim.json"
+    assert bench_record.main(argv + ["--out", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["claim"] is None
+    assert record["workloads"]["train"]["seeds"] == [5, 6]
+    out = tmp_path / "claim.json"
+    assert bench_record.main(argv + ["--out", str(out), "--claim", "train:wall_s:a:b"]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["claim"] == {"workload": "train", "metric": "wall_s", "rule": "a:b"}

@@ -138,6 +138,17 @@ class TestConfigHandling:
             assert run(*args) == 2, command
             assert run(*args, "--targets", empty) == 2, command
 
+    @pytest.mark.parametrize("command",
+                             ["plan", "batch-plan", "gen-data", "study-redundancy"])
+    def test_malformed_target_line(self, ws, capsys, command):
+        bad = write(ws / "bad.txt", "6\n\nabc\n7\n")
+        rc = run(command, "--domain", "additive-split", "--targets", bad,
+                 "--seed", "0", "--out", str(ws / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "bad.txt line 3" in err and "'abc'" in err
+        assert not (ws / "out").exists() or not any((ws / "out").iterdir())
+
     def test_gnn_without_checkpoint(self, ws):
         assert run("plan", "--domain", "additive-split", "--cost", "gnn",
                    "--targets", targets_file(ws, ["6"]), "--seed", "0",
@@ -209,6 +220,21 @@ class TestWorkflow:
         assert rc == 0
         assert ((workflow / "model" / "gnn.bin").read_bytes()
                 == (workflow / "model2" / "gnn.bin").read_bytes())
+
+    @pytest.mark.parametrize("bad", [
+        {"drop_rate": 1.5}, {"drop_rate": -0.5}, {"drop_rate": 1.0},
+        {"train_batch": 0}, {"epochs": 0}, {"lr": -1}, {"hidden": 0},
+    ])
+    def test_bad_training_values_are_config_errors(self, workflow, tmp_path, capsys,
+                                                   bad):
+        cfg = json.loads((workflow / "train.json").read_text())
+        path = write(tmp_path / "bad.json", json.dumps({**cfg, **bad}))
+        rc = run("train", "--config", path,
+                 "--targets", str(workflow / "data" / "dataset.jsonl"),
+                 "--seed", "0", "--out", str(tmp_path / "model"))
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "model" / "gnn.bin").exists()
 
     def test_plan_with_trained_model(self, workflow, tmp_path):
         rc = run("plan", "--domain", "additive-split",

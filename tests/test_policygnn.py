@@ -73,8 +73,7 @@ def ref_block(block, row):
     h1 = row @ w1 + b1
     h2 = np.maximum(h1, 0.0) @ w2 + b2
     h3 = np.maximum(h2, 0.0) @ w3 + b3
-    residual = row if block.in_width == block.width else h1
-    return residual + h3
+    return h1 + h3
 
 
 def ref_forward(snap, params):

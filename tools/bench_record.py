@@ -11,7 +11,8 @@ pairs of ``perfbench/run.py --trace 0`` on seeds FIRST_SEED, FIRST_SEED+1,
 ...; an even pair runs the parent first, an odd pair the change. Then one
 ``--trace 1`` run per side on ``--trace-seed`` gives the per-layer metrics.
 Runs go one at a time. The file is rewritten after every workload, so an
-interrupted recording keeps the workloads already finished.
+interrupted recording keeps the workloads already finished. ``--claim`` is
+optional: a change that claims no gain is recorded with ``"claim": null``.
 """
 
 from __future__ import annotations
@@ -128,14 +129,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--what", required=True, help="one line: what the change does")
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC:RULE")
+    parser.add_argument("--claim", default=None,
+                        help="WORKLOAD:METRIC:RULE; omit when no gain is claimed")
     parser.add_argument("--workload", action="append", required=True,
                         help="NAME:PAIRS:FIRST_SEED (repeatable)")
     parser.add_argument("--trace-seed", type=int, required=True)
     parser.add_argument("--work", type=Path, default=ROOT / ".bench_build")
     args = parser.parse_args(argv)
 
-    claim_workload, claim_metric, claim_rule = args.claim.split(":", 2)
+    claim = None
+    if args.claim is not None:
+        workload, metric, rule = args.claim.split(":", 2)
+        claim = {"workload": workload, "metric": metric, "rule": rule}
     specs = []
     for spec in args.workload:
         name, pairs, first = spec.split(":")
@@ -150,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {
         "what": args.what,
-        "claim": {"workload": claim_workload, "metric": claim_metric, "rule": claim_rule},
+        "claim": claim,
         "method": (f"perfbench/run.py --workload W --seed S --seconds "
                    f"{bench['run_seconds']} --trace 0 from a clean checkout of each "
                    "commit (git archive), one run at a time; pairs alternate which side "
