@@ -138,6 +138,10 @@ class TestGradients:
     def test_mlp_block_gradients(self):
         check_block_grads(MlpBlock(5, 4, 0.0, np.random.default_rng(7)))
 
+    def test_mlp_block_gradients_equal_width(self):
+        # an equal-width block's residual is h1 too, not the block input
+        check_block_grads(MlpBlock(4, 4, 0.0, np.random.default_rng(8)))
+
     def test_mlp_block_gradients_with_dropout(self):
         check_block_grads(MlpBlock(5, 4, 0.4, np.random.default_rng(7)))
 
