@@ -65,6 +65,17 @@ class RunConfig:
     margin: float = 4.0
 
 
+# a config-file value's accepted types, by RunConfig field annotation
+_INT = lambda x: isinstance(x, int) and not isinstance(x, bool)
+_VALUE_OK = {
+    "str": lambda x: isinstance(x, str),
+    "str | None": lambda x: x is None or isinstance(x, str),
+    "int": _INT,
+    "float": lambda x: _INT(x) or isinstance(x, float),
+    "bool": lambda x: isinstance(x, bool),
+    "list[int]": lambda x: isinstance(x, list) and all(_INT(i) for i in x),
+}
+
 _FLAG_FIELDS = ("domain", "inventory", "targets", "mode", "cost", "checkpoint",
                 "budget", "k", "batch_size", "clusters", "seed", "out")
 
@@ -77,10 +88,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        unknown = set(raw) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            if not _VALUE_OK[types[key]](value):
+                raise ConfigError(f"config key {key!r} must be {types[key]}, got {value!r}")
         values.update(raw)
     for name in _FLAG_FIELDS:
         flag = getattr(args, name, None)
@@ -128,7 +144,10 @@ def _inputs(cfg: RunConfig) -> tuple[ExpansionOracle, Inventory, list[str]]:
     elif isinstance(domain, TableDomain):
         raise ConfigError("table domains need an explicit --inventory file")
     else:
-        inventory = Inventory.integer_range(cfg.inventory_max)
+        try:
+            inventory = Inventory.integer_range(cfg.inventory_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if cfg.targets is None:
         raise ConfigError("this command needs --targets (one molecule per line)")
     try:

@@ -149,8 +149,8 @@ class GnnCost(CostModel):
     variant = "gnn"
 
     def __init__(self, params: policygnn.GnnParameters, lam: float = 1.0):
-        if lam <= 0.0:
-            raise ValueError(f"guidance weight lambda must be > 0, got {lam}")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"guidance weight lambda must be finite and > 0, got {lam}")
         self.params = params
         self.lam = lam
         self._memo = policygnn.InferenceMemo()

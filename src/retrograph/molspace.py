@@ -41,22 +41,20 @@ def _unit_interval(*parts: object) -> float:
 
 @dataclass(frozen=True, slots=True)
 class Reaction:
-    """One retro step: *product* is made from *reactants* at a positive cost."""
+    """One retro step: *product* is made from *reactants* at a positive cost.
+    The reactants, given as any iterable, are kept as a sorted tuple of
+    distinct keys, the order in which the search graph adds them."""
 
     product: MoleculeId
-    reactants: frozenset[MoleculeId]
+    reactants: tuple[MoleculeId, ...]
     cost: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "reactants", tuple(sorted(set(self.reactants))))
         if not self.reactants:
             raise ValueError(f"reaction for {self.product!r} has no reactants")
         if not (math.isfinite(self.cost) and self.cost > 0.0):
             raise ValueError(f"reaction cost must be finite and > 0, got {self.cost!r}")
-
-    @property
-    def reactant_key(self) -> tuple[MoleculeId, ...]:
-        """Sorted reactant tuple, used for deterministic tie-breaking."""
-        return tuple(sorted(self.reactants))
 
 
 class Inventory:
@@ -119,7 +117,7 @@ class ExpansionOracle:
 
     Subclasses implement :meth:`canonical` and :meth:`reactions`; the latter
     must return the full candidate list sorted ascending by cost with ties
-    broken by the lexicographic reactant key.
+    broken by the sorted reactant tuple.
 
     :meth:`expand` memoizes its answers per instance, across targets, as
     tuples of the validated, immutable reactions, whose molecule strings are
@@ -158,7 +156,7 @@ class ExpansionOracle:
             intern = self._interned.setdefault
             entry = tuple(
                 Reaction(intern(r.product, r.product),
-                         frozenset(intern(m, m) for m in r.reactants), r.cost)
+                         (intern(m, m) for m in r.reactants), r.cost)
                 for r in self.reactions(molecule)[:k]
             )
             self._memo[(molecule, k)] = entry
@@ -184,7 +182,7 @@ class _IntegerDomain(ExpansionOracle):
             )
         return str(value)
 
-    def _splits(self, n: int) -> list[tuple[object, frozenset[MoleculeId]]]:
+    def _splits(self, n: int) -> list[tuple[int, tuple[MoleculeId, ...]]]:
         raise NotImplementedError
 
     def reactions(self, molecule: MoleculeId) -> list[Reaction]:
@@ -200,7 +198,7 @@ class _IntegerDomain(ExpansionOracle):
             Reaction(str(n), reactants, -math.log(w / total))
             for (_, reactants), w in zip(splits, weights)
         ]
-        out.sort(key=lambda r: (r.cost, r.reactant_key))
+        out.sort(key=lambda r: (r.cost, r.reactants))
         return out
 
 
@@ -209,9 +207,9 @@ class AdditiveSplitDomain(_IntegerDomain):
 
     name = "additive-split"
 
-    def _splits(self, n: int) -> list[tuple[object, frozenset[MoleculeId]]]:
+    def _splits(self, n: int) -> list[tuple[int, tuple[MoleculeId, ...]]]:
         return [
-            (a, frozenset({str(a), str(n - a)}))
+            (a, (str(a), str(n - a)))
             for a in range(1, n // 2 + 1)
         ]
 
@@ -221,9 +219,9 @@ class FactorSplitDomain(_IntegerDomain):
 
     name = "factor-split"
 
-    def _splits(self, n: int) -> list[tuple[object, frozenset[MoleculeId]]]:
+    def _splits(self, n: int) -> list[tuple[int, tuple[MoleculeId, ...]]]:
         return [
-            (a, frozenset({str(a), str(n // a)}))
+            (a, (str(a), str(n // a)))
             for a in range(2, math.isqrt(n) + 1)
             if n % a == 0
         ]
@@ -240,10 +238,10 @@ class TableDomain(ExpansionOracle):
         table: dict[MoleculeId, list[Reaction]] = {}
         for rxn in reactions:
             product = self.canonical(rxn.product)
-            clean = Reaction(product, frozenset(r.strip() for r in rxn.reactants), rxn.cost)
+            clean = Reaction(product, (r.strip() for r in rxn.reactants), rxn.cost)
             table.setdefault(product, []).append(clean)
         for rxns in table.values():
-            rxns.sort(key=lambda r: (r.cost, r.reactant_key))
+            rxns.sort(key=lambda r: (r.cost, r.reactants))
         self._table = table
 
     def canonical(self, raw: str) -> MoleculeId:
@@ -267,7 +265,7 @@ class TableDomain(ExpansionOracle):
                 rec = json.loads(line)
                 rxn = Reaction(
                     str(rec["product"]),
-                    frozenset(str(r) for r in rec["reactants"]),
+                    (str(r) for r in rec["reactants"]),
                     float(rec["cost"]),
                 )
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -280,7 +278,7 @@ class TableDomain(ExpansionOracle):
         for product in sorted(self._table):
             for rxn in self._table[product]:
                 lines.append(json.dumps(
-                    {"product": rxn.product, "reactants": sorted(rxn.reactants), "cost": rxn.cost},
+                    {"product": rxn.product, "reactants": list(rxn.reactants), "cost": rxn.cost},
                     sort_keys=True,
                 ))
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -276,8 +276,8 @@ class AdamState:
     beta2 0.999, eps 1e-8)."""
 
     def __init__(self, params: Sequence[Tensor], lr: float):
-        if lr < 0.0:
-            raise ValueError(f"learning rate must be >= 0, got {lr}")
+        if not 0.0 <= lr < math.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.t = 0

@@ -6,27 +6,29 @@ global update). Open-node logits come from a linear head on the final node
 states; training uses binary cross-entropy on expansion labels plus a
 pairwise margin ranking loss between positive and negative open nodes.
 
-One implementation on plain arrays serves training and scoring.
-:func:`meta_layer` forms each block's first affine layer as a sum of one
-projection per input part (Battaglia et al., arXiv:1806.01261):
-``concat([e, v_src, v_dst, u]) @ W1 = e@We + (v@Ws)[src] + (v@Wd)[dst] +
-u@Wu``. Node-level parts are projected once per node and then gathered,
-layer 0's edge part has one row per edge direction, and the global part is
-a single row, so nothing is tiled or concatenated. The logits read only the
-open molecule rows, so the last layer computes only those rows and the
-edges into them, and skips the global update, which nothing reads.
+One implementation on plain arrays serves training and scoring. Node
+arrays have one row per snapshot node id, in snapshot order. :func:`meta_layer`
+forms each block's first affine layer as a sum of one projection per input
+part (Battaglia et al., arXiv:1806.01261): ``concat([e, v_src, v_dst, u]) @
+W1 = e@We + (v@Ws)[src] + (v@Wd)[dst] + u@Wu``. Node-level parts are
+projected once per node and then gathered, layer 0's edge part has one row
+per edge direction, and the global part is a single row, so nothing is
+tiled or concatenated. The logits read only the open molecule rows, so the
+last layer computes only those rows and the edges into them, and skips the
+global update, which nothing reads.
 
 Training runs that forward with tapes and a hand-derived backward that adds
 into every parameter's ``.grad``; the logits and loss of each example, and
 the gradients before each Adam step, are checked for finiteness once.
 :func:`score`, the planner's entry point, runs the same forward without
-tapes. Its first layer goes through an :class:`InferenceMemo`, which a
-caller scoring a growing graph keeps across calls: an edge row is reused
-when its direction and both endpoints' layer-0 rows are bit-equal to the
-previous snapshot's, and a node row when its layer-0 row and in-degree are
-unchanged and every incoming edge was reused. The other rows go through
-the edge and node updates of :func:`meta_layer`. Without a memo every row
-is computed, and the logits equal :func:`forward`'s bit for bit.
+tapes. A full first layer (in a network of two or more layers) goes
+through an :class:`InferenceMemo`, which a caller scoring a growing graph
+keeps across calls: an edge row is reused when its direction and both
+endpoints' layer-0 rows are bit-equal to the previous snapshot's, and a
+node row when its layer-0 row and in-degree are unchanged and every
+incoming edge was reused. The other rows go through the edge and node
+updates of :func:`meta_layer`. Without a memo every row is computed, and
+the logits equal :func:`forward`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class GnnHyper:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
+        if not math.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, got {self.margin}")
 
     @property
     def rbf_tau(self) -> float:
@@ -170,18 +174,17 @@ class ForwardResult:
 
 @dataclass
 class _SnapshotArrays:
+    """A snapshot's nodes and edges as arrays, one node row per snapshot id."""
+
     n_nodes: int
-    mol_ids: list[int]
-    rxn_ids: list[int]
-    internal_of: np.ndarray      # snapshot id -> internal row (molecules first)
-    fingerprints: list[np.ndarray]   # per molecule row, shared read-only
-    mol_rbf: np.ndarray          # RBF(hist) of the molecule rows
-    v_rxn: np.ndarray            # layer-0 reaction rows: RBF(hist), RBF(cost)
-    edge_src: np.ndarray         # internal rows
+    mol_ids: np.ndarray          # molecule node ids, ascending
+    fingerprints: list[np.ndarray]   # per molecule, in mol_ids order, shared read-only
+    v_rbf: np.ndarray            # layer-0 rows before the fingerprint projection
+    edge_src: np.ndarray         # node ids
     edge_dst: np.ndarray
     edge_dir: np.ndarray         # 0 molecule->reaction, 1 reaction->molecule
     open_ids: list[int]
-    open_rows: np.ndarray        # internal rows of open_ids
+    open_rows: np.ndarray        # open_ids as an array
 
 
 def _snapshot_arrays(snap: dict, hyper: GnnHyper,
@@ -189,41 +192,30 @@ def _snapshot_arrays(snap: dict, hyper: GnnHyper,
     """Node and edge arrays of a snapshot. Fingerprint rows are looked up in,
     and added to, *fingerprints* (molecule key -> row) when it is given."""
     nodes = snap["nodes"]
-    mol_ids = [i for i, n in enumerate(nodes) if n["kind"] == "molecule"]
-    rxn_ids = [i for i, n in enumerate(nodes) if n["kind"] == "reaction"]
-    internal_of = np.empty(len(nodes), dtype=np.int64)
-    for row, i in enumerate(mol_ids + rxn_ids):
-        internal_of[i] = row
-    if fingerprints is None:
-        fingerprints = {}
+    is_mol = np.array([n["kind"] == "molecule" for n in nodes], dtype=bool)
+    mol_ids = np.flatnonzero(is_mol)
+    fingerprints = {} if fingerprints is None else fingerprints
     rows = []
-    for i in mol_ids:
+    for i in mol_ids.tolist():
         key = nodes[i]["key"]
         row = fingerprints.get(key)
         if row is None:
             row = fingerprints[key] = features(key, hyper.feature_bits)
             row.flags.writeable = False
         rows.append(row)
-    clip = lambda x: np.clip(x, hyper.rbf_low, hyper.rbf_high)
-    emb = lambda ids, field: rbf_matrix(
-        clip(np.array([nodes[i][field] for i in ids], dtype=np.float64)),
+    rbf = lambda xs: rbf_matrix(
+        np.clip(np.array(xs, dtype=np.float64), hyper.rbf_low, hyper.rbf_high),
         hyper.rbf_low, hyper.rbf_high, hyper.rbf_n, hyper.rbf_tau)
-    v_rxn = (np.concatenate([emb(rxn_ids, "hist_cost"), emb(rxn_ids, "cost")], axis=1)
-             if rxn_ids else np.zeros((0, hyper.node_init_width)))
-    src, dst, direction = [], [], []
-    for s, d in snap["edges"]:
-        src.append(internal_of[s])
-        dst.append(internal_of[d])
-        direction.append(0 if nodes[s]["kind"] == "molecule" else 1)
-    open_ids = sorted(i for i in mol_ids if nodes[i]["open"])
+    v_rbf = np.zeros((len(nodes), hyper.node_init_width))
+    v_rbf[:, :hyper.rbf_n] = rbf([n["hist_cost"] for n in nodes])
+    v_rbf[~is_mol, hyper.rbf_n:] = rbf([n["cost"] for n in nodes if n["kind"] == "reaction"])
+    edges = np.array(snap["edges"], dtype=np.int64).reshape(-1, 2)
+    open_ids = [i for i in mol_ids.tolist() if nodes[i]["open"]]
     return _SnapshotArrays(
-        n_nodes=len(nodes), mol_ids=mol_ids, rxn_ids=rxn_ids,
-        internal_of=internal_of, fingerprints=rows,
-        mol_rbf=emb(mol_ids, "hist_cost"), v_rxn=v_rxn,
-        edge_src=np.array(src, dtype=np.int64),
-        edge_dst=np.array(dst, dtype=np.int64),
-        edge_dir=np.array(direction, dtype=np.int64),
-        open_ids=open_ids, open_rows=internal_of[open_ids],
+        n_nodes=len(nodes), mol_ids=mol_ids, fingerprints=rows, v_rbf=v_rbf,
+        edge_src=edges[:, 0], edge_dst=edges[:, 1],
+        edge_dir=np.where(is_mol[edges[:, 0]], 0, 1),
+        open_ids=open_ids, open_rows=np.array(open_ids, dtype=np.int64),
     )
 
 
@@ -233,12 +225,11 @@ def init_encoding(arrays: _SnapshotArrays,
     nodes get RBF(hist) plus the projected fingerprint, reaction nodes
     RBF(hist) plus RBF(cost). (Edges start from a direction embedding, and
     the global state starts at zero.)"""
-    bits = params.hyper.feature_bits
     feats = (np.stack(arrays.fingerprints) if arrays.fingerprints
-             else np.zeros((0, bits)))
-    proj = feats @ params.ffn_w.data + params.ffn_b.data
-    v_mol = np.concatenate([arrays.mol_rbf, proj], axis=1)
-    return np.concatenate([v_mol, arrays.v_rxn], axis=0), feats
+             else np.zeros((0, params.hyper.feature_bits)))
+    v = arrays.v_rbf.copy()
+    v[arrays.mol_ids, params.hyper.rbf_n:] = feats @ params.ffn_w.data + params.ffn_b.data
+    return v, feats
 
 
 # An input part of a block's first affine layer: rows x[index] of x, or x
@@ -412,7 +403,7 @@ def _forward(arrays: _SnapshotArrays, params: GnnParameters, training: bool = Fa
              rng: np.random.Generator | None = None, memo: "InferenceMemo | None" = None):
     """Open-node logits of a snapshot's arrays, and in training mode the
     tape :func:`_backward` reads (None otherwise). Every layer but the last
-    runs in full; the last computes only the open rows. The first layer
+    runs in full; the last computes only the open rows. A full first layer
     goes through *memo* when one is given."""
     hy = params.hyper
     with np.errstate(over="ignore", invalid="ignore"):
@@ -423,10 +414,9 @@ def _forward(arrays: _SnapshotArrays, params: GnnParameters, training: bool = Fa
         last = len(params.layer_blocks) - 1
         for depth, blocks in enumerate(params.layer_blocks):
             rows = arrays.open_rows if depth == last else None
-            if depth == 0 and memo is not None:
-                v, e_new = memo.first_layer(v, e, u, arrays, blocks, rows)
-                if rows is None:
-                    u = _global_update(blocks.glob, u, v, False, None)[0]
+            if depth == 0 and rows is None and memo is not None:
+                v, e_new = memo.first_layer(v, e, u, arrays, blocks)
+                u = _global_update(blocks.glob, u, v, False, None)[0]
             else:
                 v, e_new, u, layer_tape = meta_layer(v, e, u, arrays, blocks, rows,
                                                      training, rng)
@@ -459,7 +449,7 @@ def _backward(arrays: _SnapshotArrays, params: GnnParameters, tape,
             g_v, g_e, g_u = _meta_layer_backward(blocks, layer_tape, g_v, g_e, g_u)
         if g_e is not None:
             add_grad(params.edge_emb, g_e)
-        g_proj = g_v[:len(feats), params.hyper.rbf_n:]
+        g_proj = g_v[arrays.mol_ids, params.hyper.rbf_n:]
         add_grad(params.ffn_w, feats.T @ g_proj)
         add_grad(params.ffn_b, g_proj.sum(axis=0))
 
@@ -479,7 +469,7 @@ class ScoreResult:
 class InferenceMemo:
     """What :func:`score` keeps between calls with one network: a fingerprint
     row per molecule key, and the first meta layer's rows of the latest
-    snapshot, keyed by snapshot node id and by ``(src, dst)`` edge.
+    snapshot, by snapshot node id and by ``(src, dst)`` edge.
 
     The layer-0 global state is zero, so a first-layer edge row depends only
     on its direction and its endpoints' layer-0 rows, and a node row only on
@@ -489,13 +479,14 @@ class InferenceMemo:
     every incoming edge was reused. Rows are validated by content, so a
     snapshot of another graph simply misses. A memo serves one network
     whose weights do not change, and holds only the latest snapshot's rows.
+    Only networks of two or more layers read the first-layer rows; a
+    one-layer network's only layer is pruned to the open rows.
     """
 
     def __init__(self) -> None:
         self.fingerprints: dict[str, np.ndarray] = {}
-        self.node_v0 = np.zeros((0, 0))              # layer-0 rows by node id
-        self.node_v1 = np.zeros((0, 0))              # first-layer rows by node id
-        self.node_known = np.zeros(0, dtype=bool)    # node_v1 row was computed
+        self.node_v0 = np.zeros((0, 0))              # layer-0 rows
+        self.node_v1 = np.zeros((0, 0))              # first-layer rows
         self.in_degree = np.zeros(0, dtype=np.int64)
         self.edge_keys = np.zeros(0, dtype=np.int64)  # src << 32 | dst, sorted
         self.edge_dir = np.zeros(0, dtype=np.int64)
@@ -503,69 +494,51 @@ class InferenceMemo:
         self.edge_m1 = np.zeros((0, 0))              # and their messages
 
     def first_layer(self, v: np.ndarray, e: _Part, u: np.ndarray,
-                    arrays: _SnapshotArrays, blocks: _LayerBlocks,
-                    rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`meta_layer`'s new node and edge states for the first layer
-        (zero global state), without the global update. Rows that cannot be
-        reused go through meta_layer's edge and node updates, one batch per
-        block; each recomputed node averages all its incoming messages in
-        edge order. The memo then holds this snapshot's rows."""
+                    arrays: _SnapshotArrays, blocks: _LayerBlocks
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`meta_layer`'s new node and edge states for the full first
+        layer (zero global state), without the global update. Rows that
+        cannot be reused go through meta_layer's edge and node updates, one
+        batch per block; each recomputed node averages all its incoming
+        messages in edge order. The memo then holds this snapshot's rows."""
         src, dst, n = arrays.edge_src, arrays.edge_dst, arrays.n_nodes
-        rows = np.arange(n) if rows is None else rows
-        ids = np.array(arrays.mol_ids + arrays.rxn_ids, dtype=np.int64)
-        v_by_id = v[arrays.internal_of]
-        in_degree = np.bincount(ids[dst], minlength=n)
-        # same: layer-0 row unchanged; stable: also in-degree and row known
+        in_degree = np.bincount(dst, minlength=n)
+        # same: layer-0 row unchanged; stable: also in-degree unchanged
         same = np.zeros(n, dtype=bool)
         stable = np.zeros(n, dtype=bool)
         m = min(n, len(self.node_v0))
         if m:
-            same[:m] = (v_by_id[:m].view(np.uint64)
-                        == self.node_v0[:m].view(np.uint64)).all(axis=1)
-            stable[:m] = (same[:m] & self.node_known[:m]
-                          & (self.in_degree[:m] == in_degree[:m]))
-        slot = np.full(n, -1, dtype=np.int64)
-        slot[rows] = np.arange(len(rows))
-        keep = np.flatnonzero(slot[dst] >= 0)
-        src_id, dst_id = ids[src[keep]], ids[dst[keep]]
-        keys = (src_id << 32) | dst_id
-        pos = np.zeros(len(keep), dtype=np.int64)
-        edge_hit = np.zeros(len(keep), dtype=bool)
+            same[:m] = (v[:m].view(np.uint64) == self.node_v0[:m].view(np.uint64)).all(axis=1)
+            stable[:m] = same[:m] & (self.in_degree[:m] == in_degree[:m])
+        keys = (src << 32) | dst
+        pos = np.zeros(len(keys), dtype=np.int64)
+        edge_hit = np.zeros(len(keys), dtype=bool)
         if len(self.edge_keys):
             pos = np.minimum(np.searchsorted(self.edge_keys, keys), len(self.edge_keys) - 1)
-            edge_hit = ((self.edge_keys[pos] == keys)
-                        & (self.edge_dir[pos] == arrays.edge_dir[keep])
-                        & same[src_id] & same[dst_id])
-        e_new = np.empty((len(keep), blocks.edge.width))
-        per_edge = np.empty((len(keep), blocks.msg.width))
+            edge_hit = ((self.edge_keys[pos] == keys) & (self.edge_dir[pos] == arrays.edge_dir)
+                        & same[src] & same[dst])
+        e_new = np.empty((len(keys), blocks.edge.width))
+        per_edge = np.empty((len(keys), blocks.msg.width))
         if edge_hit.any():
             e_new[edge_hit] = self.edge_e1[pos[edge_hit]]
             per_edge[edge_hit] = self.edge_m1[pos[edge_hit]]
-        miss = keep[~edge_hit]
-        e_new[~edge_hit], per_edge[~edge_hit], _, _ = _edge_update(
+        miss = np.flatnonzero(~edge_hit)
+        e_new[miss], per_edge[miss], _, _ = _edge_update(
             blocks, (e[0], e[1][miss]), v, src[miss], dst[miss], u, False, None)
-        missed_into = np.bincount(dst[miss], minlength=n)
-        row_hit = stable[ids[rows]] & (missed_into[rows] == 0)
-        v_new = np.empty((len(rows), blocks.node.width))
-        if row_hit.any():
-            v_new[row_hit] = self.node_v1[ids[rows[row_hit]]]
-        need = rows[~row_hit]
+        reuse = stable & (np.bincount(dst[miss], minlength=n) == 0)
+        v_new = np.empty((n, blocks.node.width))
+        if reuse.any():
+            v_new[reuse] = self.node_v1[np.flatnonzero(reuse)]
+        need = np.flatnonzero(~reuse)
         need_slot = np.full(n, -1, dtype=np.int64)
         need_slot[need] = np.arange(len(need))
-        into_need = need_slot[dst[keep]] >= 0
-        v_new[~row_hit], _ = _node_update(blocks, v, need, per_edge[into_need],
-                                          need_slot[dst[keep[into_need]]], u, False, None)
-        self.node_v0 = v_by_id
-        self.node_v1 = np.empty((n, blocks.node.width))
-        self.node_v1[ids[rows]] = v_new
-        self.node_known = np.zeros(n, dtype=bool)
-        self.node_known[ids[rows]] = True
-        self.in_degree = in_degree
+        into_need = need_slot[dst] >= 0
+        v_new[need], _ = _node_update(blocks, v, need, per_edge[into_need],
+                                      need_slot[dst[into_need]], u, False, None)
+        self.node_v0, self.node_v1, self.in_degree = v, v_new, in_degree
         order = np.argsort(keys)
-        self.edge_keys = keys[order]
-        self.edge_dir = arrays.edge_dir[keep][order]
-        self.edge_e1 = e_new[order]
-        self.edge_m1 = per_edge[order]
+        self.edge_keys, self.edge_dir = keys[order], arrays.edge_dir[order]
+        self.edge_e1, self.edge_m1 = e_new[order], per_edge[order]
         return v_new, e_new
 
 

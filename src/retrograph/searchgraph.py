@@ -166,7 +166,7 @@ class SearchGraph:
             ))
             self._reactions += 1
             self._add_edge(v, rid)
-            for mol in sorted(rxn.reactants):
+            for mol in rxn.reactants:
                 if self.dedup and mol in self.memory:
                     mid = self.memory[mol]
                 else:

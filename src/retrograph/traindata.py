@@ -74,7 +74,7 @@ def _route_order(route: RouteTree) -> tuple[list[str], dict[str, Reaction]]:
             order.append(tree.molecule)
             reactions[tree.molecule] = Reaction(
                 tree.molecule,
-                frozenset(c.molecule for c in tree.reaction.children),
+                (c.molecule for c in tree.reaction.children),
                 tree.reaction.cost,
             )
         queue.extend(tree.reaction.children)

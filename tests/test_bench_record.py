@@ -46,6 +46,21 @@ def test_wins_follow_the_better_direction(bench_record):
                                "q3": 2.5}
 
 
+@pytest.mark.parametrize("parent, change, better, want", [
+    # the change median is 30% worse, beyond the 0.25 bound
+    ([1.0] * 5, [1.3] * 5, "lower", "worse"),
+    ([10.0] * 5, [7.0] * 5, "higher", "worse"),
+    # the parent's IQR is half its median, and the runs overlap
+    ([1.0, 1.5, 2.0, 2.5, 3.0], [1.9, 2.0, 2.1, 2.2, 2.3], "lower", "unresolved"),
+    # as wide a parent, but every change run beats every parent run
+    ([2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 1.0, 1.2, 1.5, 1.9], "lower", "within"),
+    # 10% worse with a steady parent: inside the bound
+    ([1.0, 0.99, 1.0, 1.01, 1.0], [1.1] * 5, "lower", "within"),
+])
+def test_verdicts(bench_record, parent, change, better, want):
+    assert bench_record.verdict(parent, change, better, 0.25) == want
+
+
 def test_claim_is_optional(bench_record, monkeypatch, tmp_path):
     # no checkouts and no benchmark runs: every run reports 1.0 per metric
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -62,6 +77,8 @@ def test_claim_is_optional(bench_record, monkeypatch, tmp_path):
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["claim"] is None
     assert record["workloads"]["train"]["seeds"] == [5, 6]
+    assert {e["verdict"] for e in record["workloads"]["train"]["end_to_end"].values()} \
+        == {"within"}
     out = tmp_path / "claim.json"
     assert bench_record.main(argv + ["--out", str(out), "--claim", "train:wall_s:a:b"]) == 0
     record = json.loads(out.read_text(encoding="utf-8"))

@@ -7,6 +7,7 @@ reruns with the same seed.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,7 @@ class TestConfigHandling:
 
     def test_unreadable_config_and_targets(self, ws):
         assert run("plan", "--config", str(ws / "missing.json")) == 2
+        assert run("plan", "--config", write(ws / "list.json", '["budget"]')) == 2
         assert run("plan", "--domain", "additive-split", "--seed", "0",
                    "--targets", str(ws / "missing.txt"),
                    "--out", str(ws / "out")) == 2
@@ -224,6 +226,7 @@ class TestWorkflow:
     @pytest.mark.parametrize("bad", [
         {"drop_rate": 1.5}, {"drop_rate": -0.5}, {"drop_rate": 1.0},
         {"train_batch": 0}, {"epochs": 0}, {"lr": -1}, {"hidden": 0},
+        {"lr": math.nan}, {"lr": math.inf}, {"margin": math.nan},
     ])
     def test_bad_training_values_are_config_errors(self, workflow, tmp_path, capsys,
                                                    bad):
@@ -235,6 +238,29 @@ class TestWorkflow:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "model" / "gnn.bin").exists()
+
+    @pytest.mark.parametrize("command, bad", [
+        ("plan", {"batch_size": "2"}), ("plan", {"clusters": None}),
+        ("batch-plan", {"bits": "64"}), ("train", {"hidden": "16"}),
+        ("train", {"epochs": "1"}), ("plan", {"cost": "gnn", "lam": "0.5"}),
+        ("plan", {"inventory_max": 0}),
+        ("plan", {"cost": "gnn", "lam": math.nan}), ("plan", {"cost": "gnn", "lam": math.inf}),
+    ])
+    def test_wrong_type_or_non_finite_config_values(self, workflow, tmp_path, capsys,
+                                                     command, bad):
+        if command == "train":
+            base = json.loads((workflow / "train.json").read_text())
+            targets = workflow / "data" / "dataset.jsonl"
+        else:
+            base = {"domain": "additive-split", "budget": 10, "k": 5,
+                    "checkpoint": str(workflow / "model" / "gnn.bin")}
+            targets = workflow / "targets.txt"
+        path = write(tmp_path / "bad.json", json.dumps({**base, **bad}))
+        rc = run(command, "--config", path, "--targets", str(targets),
+                 "--seed", "0", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_plan_with_trained_model(self, workflow, tmp_path):
         rc = run("plan", "--domain", "additive-split",

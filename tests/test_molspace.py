@@ -36,7 +36,9 @@ class TestReaction:
 
     def test_reactant_key_sorted(self):
         r = Reaction("12", frozenset({"6", "2"}), 0.5)
-        assert r.reactant_key == ("2", "6")
+        assert r.reactants == ("2", "6")
+        # the split {a, a} of an even n has one distinct reactant
+        assert Reaction("12", ["6", "6"], 0.5).reactants == ("6",)
 
 
 class TestInventory:
@@ -119,7 +121,7 @@ class TestAdditiveSplit:
     def test_enumeration_matches_oracle(self):
         dom = AdditiveSplitDomain(seed=0)
         for n in list(range(1, 25)) + [40, 63]:
-            got = {r.reactants for r in dom.reactions(str(n))}
+            got = {frozenset(r.reactants) for r in dom.reactions(str(n))}
             assert got == additive_splits_oracle(n), f"n={n}"
             for r in dom.reactions(str(n)):
                 assert r.product == str(n)
@@ -145,12 +147,12 @@ class TestAdditiveSplit:
             Reaction("Z", frozenset({"a"}), 1.0),
         ]
         dom = TableDomain(rxns)
-        assert [r.reactant_key for r in dom.expand("Z", 5)] == [("a",), ("b",)]
+        assert [r.reactants for r in dom.expand("Z", 5)] == [("a",), ("b",)]
 
     def test_costs_are_stable_across_processes(self):
         # determinism pin: frozen from a reference run, guards the hash stream
         dom = AdditiveSplitDomain(seed=0)
-        got = {r.reactant_key: r.cost for r in dom.reactions("6")}
+        got = {r.reactants: r.cost for r in dom.reactions("6")}
         assert got[("3",)] == pytest.approx(1.0204117115045885, abs=1e-15)
         assert got[("1", "5")] == pytest.approx(1.4708016486676398, abs=1e-15)
         assert got[("2", "4")] == pytest.approx(1.994749747504331, abs=1e-15)
@@ -168,7 +170,7 @@ class TestFactorSplit:
     def test_enumeration_matches_oracle(self):
         dom = FactorSplitDomain(seed=0)
         for n in list(range(1, 40)) + [60, 64, 97, 121]:
-            got = {r.reactants for r in dom.reactions(str(n))}
+            got = {frozenset(r.reactants) for r in dom.reactions(str(n))}
             assert got == factor_splits_oracle(n), f"n={n}"
 
     def test_primes_are_dead_ends(self):
@@ -179,11 +181,11 @@ class TestFactorSplit:
     def test_square_gives_singleton_reactants(self):
         dom = FactorSplitDomain(seed=0)
         [r] = [r for r in dom.reactions("9")]
-        assert r.reactants == frozenset({"3"})
+        assert r.reactants == ("3",)
 
     def test_costs_are_stable_across_processes(self):
         dom = FactorSplitDomain(seed=0)
-        got = {r.reactant_key: r.cost for r in dom.reactions("12")}
+        got = {r.reactants: r.cost for r in dom.reactions("12")}
         assert got[("2", "6")] == pytest.approx(1.2650435171359133, abs=1e-15)
         assert got[("3", "4")] == pytest.approx(2.247806823387693, abs=1e-15)
 
@@ -196,7 +198,7 @@ class TestTableDomain:
             Reaction("B", frozenset({"C"}), 0.5),
         ])
         got = dom.expand("A", 5)
-        assert [r.reactant_key for r in got] == [("D",), ("B", "C")]
+        assert [r.reactants for r in got] == [("D",), ("B", "C")]
         assert dom.expand("missing", 5) == []
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -208,8 +210,8 @@ class TestTableDomain:
         dom.to_jsonl(path)
         back = TableDomain.from_jsonl(path)
         for key in ("A", "B", "C"):
-            assert [(r.reactant_key, r.cost) for r in back.expand(key, 5)] == \
-                   [(r.reactant_key, r.cost) for r in dom.expand(key, 5)]
+            assert [(r.reactants, r.cost) for r in back.expand(key, 5)] == \
+                   [(r.reactants, r.cost) for r in dom.expand(key, 5)]
 
     def test_from_jsonl_reports_bad_lines(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -91,8 +91,8 @@ class TestRouteOrder:
         route = solved_route(CHAIN)
         order, reactions = _route_order(route)
         assert order == ["T", "A", "B"]
-        assert reactions["T"].reactants == frozenset({"A"})
-        assert reactions["B"].reactants == frozenset({"I"})
+        assert reactions["T"].reactants == ("A",)
+        assert reactions["B"].reactants == ("I",)
 
     def test_branch_repeat_expands_once(self):
         shared = table(

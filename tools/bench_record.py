@@ -13,6 +13,12 @@ pairs of ``perfbench/run.py --trace 0`` on seeds FIRST_SEED, FIRST_SEED+1,
 Runs go one at a time. The file is rewritten after every workload, so an
 interrupted recording keeps the workloads already finished. ``--claim`` is
 optional: a change that claims no gain is recorded with ``"claim": null``.
+
+Each end-to-end metric gets a ``"verdict"`` from its ``BENCHMARK.json``
+bound: ``worse`` when the change median is worse than the parent median by
+more than the bound; otherwise ``unresolved`` when the parent's IQR over its
+median exceeds the bound and not every change run beats every parent run
+(record more pairs on new seeds); otherwise ``within``.
 """
 
 from __future__ import annotations
@@ -71,6 +77,19 @@ def quartiles(runs: list[float]) -> dict:
             "median": round(median, 4), "q3": round(q3, 4)}
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``within``, as the module docstring says;
+    *bound* is a fraction of the parent median."""
+    sign = 1.0 if better == "higher" else -1.0
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    if sign * (c_med - p_med) < -bound * abs(p_med):
+        return "worse"
+    q = quartiles(parent)
+    spread = (q["q3"] - q["q1"]) / abs(p_med) if p_med else 0.0
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    return "unresolved" if spread > bound and not beats_all else "within"
+
+
 def compare(parent: list[float], change: list[float], better: str) -> dict:
     """Both sides' runs and quartiles, the ratio of medians, and how many
     pairs the change won (ties count for neither side)."""
@@ -84,7 +103,7 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def record_workload(trees: dict[str, Path], name: str, pairs: int, first_seed: int,
-                    trace_seed: int, seconds: float, better: dict[str, str]) -> dict:
+                    trace_seed: int, seconds: float, end_to_end: dict[str, dict]) -> dict:
     seeds = list(range(first_seed, first_seed + pairs))
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
@@ -97,14 +116,18 @@ def record_workload(trees: dict[str, Path], name: str, pairs: int, first_seed: i
     traced = {side: run_bench(trees[side], name, trace_seed, seconds, 1)
               for side in ("parent", "change")}
     values = lambda side, metric: [r["metrics"][metric]["value"] for r in runs[side]]
+    end = {}
+    for m, spec in end_to_end.items():
+        parent, change = values("parent", m), values("change", m)
+        end[m] = dict(compare(parent, change, spec["better"]),
+                      verdict=verdict(parent, change, spec["better"], spec["bound"]))
     return {
         "pairs": pairs,
         "seeds": seeds,
         "correct": {s: all(r["correct"] for r in runs[s]) for s in runs},
         "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
         "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
-        "end_to_end": {m: compare(values("parent", m), values("change", m), b)
-                       for m, b in better.items()},
+        "end_to_end": end,
         "trace_seed": trace_seed,
         "traced_correct": {s: traced[s]["correct"] for s in traced},
         "per_layer": {m: {s: round(traced[s]["metrics"][m]["value"], 4) for s in traced}
@@ -146,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         name, pairs, first = spec.split(":")
         specs.append((name, int(pairs), int(first)))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     revs = {"parent": git("rev-parse", "--short", args.parent),
             "change": git("rev-parse", "--short", args.change)}
     trees = {side: args.work / side for side in revs}
@@ -172,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     for name, pairs, first in specs:
         record["workloads"][name] = record_workload(
-            trees, name, pairs, first, args.trace_seed, bench["run_seconds"], better)
+            trees, name, pairs, first, args.trace_seed, bench["run_seconds"], end_to_end)
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
