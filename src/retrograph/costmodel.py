@@ -1,9 +1,9 @@
-"""Cost models that rank open molecule nodes for expansion.
+"""Cost models that supply the heuristic h of open molecule nodes.
 
-Every variant prices a node as historical cost plus a heuristic term:
-zero for uninformed (uniform-cost) search, a small feature regressor
-predicting remaining route cost, or the negative log of the policy
-network's normalized score.
+The planner prices an open node as its historical cost plus h. Each
+variant supplies only h: zero for uninformed (uniform-cost) search, a small
+feature regressor predicting remaining route cost, or the negative log of
+the policy network's normalized score.
 """
 
 from __future__ import annotations
@@ -22,34 +22,26 @@ VARIANTS = ("zero", "value_net", "gnn")
 
 
 class CostModel:
-    """Interface: a total cost per open molecule node; lower expands first."""
-
-    variant: str = "abstract"
+    """Interface: the heuristic h of each open molecule node. The planner
+    adds the node's historical cost; the lower sum expands first."""
 
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
-        """Total cost for every open molecule node of the graph."""
+        """h for every open molecule node of the graph."""
         raise NotImplementedError
-
-    def save(self, path) -> None:
-        raise ValueError(f"cost model {self.variant!r} has nothing to save")
 
 
 class ZeroCost(CostModel):
-    """No heuristic: pure historical cost, i.e. uniform-cost expansion."""
-
-    variant = "zero"
+    """h = 0: the planner's price is the historical cost alone, i.e.
+    uniform-cost expansion."""
 
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
-        return {v: graph.nodes[v].hist_cost for v in graph.open_nodes()}
+        return dict.fromkeys(graph.open_nodes(), 0.0)
 
 
 class ValueNetCost(CostModel):
-    """Two-layer regressor on molecule features predicting remaining route
-    cost; the prediction is added to the historical cost. Predictions are
-    memoized per molecule, since the weights never change after
-    construction."""
-
-    variant = "value_net"
+    """Two-layer regressor on molecule features; h is its prediction of the
+    remaining route cost. Predictions are memoized per molecule, since the
+    weights never change after construction."""
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
                  b2: np.ndarray, bits: int):
@@ -72,10 +64,7 @@ class ValueNetCost(CostModel):
         return cached
 
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
-        return {
-            v: graph.nodes[v].hist_cost + self.heuristic(graph.nodes[v].molecule)
-            for v in graph.open_nodes()
-        }
+        return {v: self.heuristic(graph.nodes[v].molecule) for v in graph.open_nodes()}
 
     def save(self, path) -> None:
         hyper = {"variant": "value_net", "bits": self.bits,
@@ -88,8 +77,12 @@ class ValueNetCost(CostModel):
         arrays, hyper = nm.load_weights(path)
         if hyper.get("variant") != "value_net":
             raise ValueError(f"{path}: not a value-net checkpoint")
-        return cls(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],
-                   int(hyper["bits"]))
+        bits, hidden = hyper.get("bits"), hyper.get("hidden")
+        if not (type(bits) is int and bits >= 8 and type(hidden) is int and hidden >= 1):
+            raise ValueError(f"{path}: value-net header needs integer bits >= 8 and "
+                             f"hidden >= 1, got {bits!r} and {hidden!r}")
+        shapes = {"w1": (bits, hidden), "b1": (hidden,), "w2": (hidden, 1), "b2": (1,)}
+        return cls(*nm.expect_arrays(path, arrays, shapes), bits)
 
 
 def remaining_cost_pairs(routes) -> list[tuple[str, float]]:
@@ -136,8 +129,8 @@ def train_value_net(routes, bits: int = 2048, hidden: int = 64,
 
 
 class GnnCost(CostModel):
-    """Policy-network guidance: heuristic is -lambda * ln(normalized score),
-    with scores computed once per call for all open nodes together.
+    """Policy-network guidance: h is -lambda * ln(normalized score), with
+    scores computed once per call for all open nodes together.
 
     The log of the softmax is taken as logit - logsumexp(logits), so a score
     that underflows to 0.0 still gets a finite price. One inference memo
@@ -145,8 +138,6 @@ class GnnCost(CostModel):
     molecule, like the value net's predictions, and the network's first
     layer reuses the rows of the previous snapshot that did not change.
     """
-
-    variant = "gnn"
 
     def __init__(self, params: policygnn.GnnParameters, lam: float = 1.0):
         if not 0.0 < lam < math.inf:
@@ -159,13 +150,7 @@ class GnnCost(CostModel):
         logits = policygnn.score(graph.snapshot(), self.params, self._memo).logit
         shifted = np.array(list(logits.values())) - max(logits.values())
         log_norm = shifted - math.log(np.exp(shifted).sum())
-        return {
-            v: graph.nodes[v].hist_cost - self.lam * ln
-            for v, ln in zip(logits, log_norm.tolist())
-        }
-
-    def save(self, path) -> None:
-        self.params.save(path)
+        return dict(zip(logits, (-self.lam * log_norm).tolist()))
 
     @classmethod
     def load(cls, path, lam: float = 1.0) -> "GnnCost":

@@ -20,6 +20,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 MoleculeId = str
+# (cost, reactants), reactants a sorted tuple of distinct keys
+Candidate = tuple[float, tuple[MoleculeId, ...]]
 
 _FEATURE_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -115,9 +117,9 @@ def features(molecule: MoleculeId, bits: int = 2048) -> np.ndarray:
 class ExpansionOracle:
     """Deterministic single-step model returning top-k reactions per molecule.
 
-    Subclasses implement :meth:`canonical` and :meth:`reactions`; the latter
-    must return the full candidate list sorted ascending by cost with ties
-    broken by the sorted reactant tuple.
+    Subclasses implement :meth:`canonical` and :meth:`candidates`; the
+    oracle sorts the candidates ascending by cost with ties broken by the
+    reactant tuple, and builds a :class:`Reaction` only for those it returns.
 
     :meth:`expand` memoizes its answers per instance, across targets, as
     tuples of the validated, immutable reactions, whose molecule strings are
@@ -136,8 +138,16 @@ class ExpansionOracle:
         """Canonical keys of *raws* in first-seen order, duplicates dropped."""
         return list(dict.fromkeys(self.canonical(raw) for raw in raws))
 
-    def reactions(self, molecule: MoleculeId) -> list[Reaction]:
+    def candidates(self, product: MoleculeId) -> list[Candidate]:
+        """(cost, reactants) of every reaction making the canonical key
+        *product*, in any order."""
         raise NotImplementedError
+
+    def reactions(self, molecule: MoleculeId) -> list[Reaction]:
+        """Every candidate reaction producing *molecule*, in expansion order."""
+        product = self.canonical(molecule)
+        return [Reaction(product, reactants, cost)
+                for cost, reactants in sorted(self.candidates(product))]
 
     def expand(self, molecule: MoleculeId, k: int) -> list[Reaction]:
         """At most *k* lowest-cost reactions producing *molecule*.
@@ -154,10 +164,11 @@ class ExpansionOracle:
         entry = self._memo.get((molecule, k))
         if entry is None:
             intern = self._interned.setdefault
+            product = self.canonical(molecule)
+            product = intern(product, product)
             entry = tuple(
-                Reaction(intern(r.product, r.product),
-                         (intern(m, m) for m in r.reactants), r.cost)
-                for r in self.reactions(molecule)[:k]
+                Reaction(product, tuple(intern(m, m) for m in reactants), cost)
+                for cost, reactants in sorted(self.candidates(product))[:k]
             )
             self._memo[(molecule, k)] = entry
         return list(entry)
@@ -182,24 +193,22 @@ class _IntegerDomain(ExpansionOracle):
             )
         return str(value)
 
-    def _splits(self, n: int) -> list[tuple[int, tuple[MoleculeId, ...]]]:
+    def _splits(self, n: int) -> list[tuple[int, int]]:
         raise NotImplementedError
 
-    def reactions(self, molecule: MoleculeId) -> list[Reaction]:
-        n = int(self.canonical(molecule))
+    def candidates(self, product: MoleculeId) -> list[Candidate]:
+        n = int(product)
         splits = self._splits(n)
         if not splits:
             return []
-        weights = [_unit_interval(self.seed, self.name, n, key) for key, _ in splits]
+        weights = [_unit_interval(self.seed, self.name, n, a) for a, _ in splits]
         # reserve mass keyed (n, 0) keeps every normalized weight < 1 so that
         # costs stay strictly positive even when n has a single split
         total = _unit_interval(self.seed, self.name, n, 0) + sum(weights)
-        out = [
-            Reaction(str(n), reactants, -math.log(w / total))
-            for (_, reactants), w in zip(splits, weights)
+        return [
+            (-math.log(w / total), tuple(sorted({str(a), str(b)})))
+            for (a, b), w in zip(splits, weights)
         ]
-        out.sort(key=lambda r: (r.cost, r.reactants))
-        return out
 
 
 class AdditiveSplitDomain(_IntegerDomain):
@@ -207,11 +216,8 @@ class AdditiveSplitDomain(_IntegerDomain):
 
     name = "additive-split"
 
-    def _splits(self, n: int) -> list[tuple[int, tuple[MoleculeId, ...]]]:
-        return [
-            (a, (str(a), str(n - a)))
-            for a in range(1, n // 2 + 1)
-        ]
+    def _splits(self, n: int) -> list[tuple[int, int]]:
+        return [(a, n - a) for a in range(1, n // 2 + 1)]
 
 
 class FactorSplitDomain(_IntegerDomain):
@@ -219,12 +225,8 @@ class FactorSplitDomain(_IntegerDomain):
 
     name = "factor-split"
 
-    def _splits(self, n: int) -> list[tuple[int, tuple[MoleculeId, ...]]]:
-        return [
-            (a, (str(a), str(n // a)))
-            for a in range(2, math.isqrt(n) + 1)
-            if n % a == 0
-        ]
+    def _splits(self, n: int) -> list[tuple[int, int]]:
+        return [(a, n // a) for a in range(2, math.isqrt(n) + 1) if n % a == 0]
 
 
 class TableDomain(ExpansionOracle):
@@ -235,13 +237,10 @@ class TableDomain(ExpansionOracle):
     name = "table"
 
     def __init__(self, reactions: Iterable[Reaction]):
-        table: dict[MoleculeId, list[Reaction]] = {}
+        table: dict[MoleculeId, list[Candidate]] = {}
         for rxn in reactions:
-            product = self.canonical(rxn.product)
-            clean = Reaction(product, (r.strip() for r in rxn.reactants), rxn.cost)
-            table.setdefault(product, []).append(clean)
-        for rxns in table.values():
-            rxns.sort(key=lambda r: (r.cost, r.reactants))
+            reactants = tuple(sorted({r.strip() for r in rxn.reactants}))
+            table.setdefault(self.canonical(rxn.product), []).append((rxn.cost, reactants))
         self._table = table
 
     def canonical(self, raw: str) -> MoleculeId:
@@ -250,8 +249,8 @@ class TableDomain(ExpansionOracle):
             raise DomainSyntaxError(f"domain {self.name!r} got an empty molecule key")
         return text
 
-    def reactions(self, molecule: MoleculeId) -> list[Reaction]:
-        return list(self._table.get(self.canonical(molecule), []))
+    def candidates(self, product: MoleculeId) -> list[Candidate]:
+        return self._table.get(product, [])
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TableDomain":
@@ -263,6 +262,9 @@ class TableDomain(ExpansionOracle):
                 continue
             try:
                 rec = json.loads(line)
+                if not (isinstance(rec["reactants"], list)
+                        and all(isinstance(r, str) for r in rec["reactants"])):
+                    raise ValueError("'reactants' must be a list of strings")
                 rxn = Reaction(
                     str(rec["product"]),
                     (str(r) for r in rec["reactants"]),
@@ -272,16 +274,6 @@ class TableDomain(ExpansionOracle):
                 raise ValueError(f"{path}:{lineno}: bad reaction record: {exc}") from exc
             rxns.append(rxn)
         return cls(rxns)
-
-    def to_jsonl(self, path: str | Path) -> None:
-        lines = []
-        for product in sorted(self._table):
-            for rxn in self._table[product]:
-                lines.append(json.dumps(
-                    {"product": rxn.product, "reactants": list(rxn.reactants), "cost": rxn.cost},
-                    sort_keys=True,
-                ))
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def make_domain(spec: str, seed: int = 0) -> ExpansionOracle:

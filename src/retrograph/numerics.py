@@ -358,10 +358,19 @@ def load_weights(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if split < 0:
         raise ValueError(f"{path}: missing weight-file header")
     header = json.loads(raw[:split].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: weight-file header is not a JSON object")
     if header.get("version") != WEIGHT_FILE_VERSION:
         raise ValueError(
             f"{path}: unsupported weight-file version {header.get('version')!r}"
         )
+    if not (isinstance(header.get("hyper"), dict) and isinstance(header.get("tensors"), list)):
+        raise ValueError(f"{path}: weight-file header needs a 'hyper' object and a 'tensors' list")
+    for spec in header["tensors"]:
+        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+                and isinstance(spec.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in spec["shape"])):
+            raise ValueError(f"{path}: bad tensor entry {spec!r} in the weight-file header")
     blob = raw[split + 1:]
     expected = sum(int(np.prod(spec["shape"])) for spec in header["tensors"])
     if len(blob) != expected * 8:
@@ -376,3 +385,14 @@ def load_weights(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         arrays[spec["name"]] = flat.astype(np.float64).reshape(spec["shape"])
         offset += count
     return arrays, header["hyper"]
+
+
+def expect_arrays(path: str | Path, arrays: dict[str, np.ndarray],
+                  shapes: dict[str, tuple[int, ...]]) -> list[np.ndarray]:
+    """The arrays named in *shapes*, in its order; a missing array or one of
+    another shape raises."""
+    for name, shape in shapes.items():
+        got = arrays[name].shape if name in arrays else "missing"
+        if got != shape:
+            raise ValueError(f"{path}: tensor {name!r} is {got}, expected shape {shape}")
+    return [arrays[name] for name in shapes]

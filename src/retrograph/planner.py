@@ -1,12 +1,12 @@
 """Planning loop over the AND-OR search graph.
 
-Each iteration selects the cheapest open molecule node under the active
-cost model, expands it through the oracle, and merges the reactions into
-the graph, which brings proof and historical costs back to fixpoint. The
-loop stops when the budget is spent, every target is proved, or nothing is
-left to expand. Batch planning clusters targets by feature similarity and
-plans each batch in one shared graph so common intermediates are expanded
-once.
+Each iteration prices every open molecule node at its historical cost plus
+the active cost model's heuristic h, selects the cheapest, expands it
+through the oracle, and merges the reactions into the graph, which brings
+proof and historical costs back to fixpoint. The loop stops when the budget
+is spent, every target is proved, or nothing is left to expand. Batch
+planning clusters targets by feature similarity and plans each batch in one
+shared graph so common intermediates are expanded once.
 """
 
 from __future__ import annotations
@@ -184,12 +184,14 @@ class PlanResult:
 
 
 def select_next(graph: SearchGraph, cost_model: CostModel) -> NodeId:
-    """Open molecule node with the lowest total cost; ties break toward the
-    lowest node id. Calling this with no open nodes is a contract error."""
-    costs = cost_model.open_costs(graph)
-    if not costs:
+    """Open molecule node with the lowest price hist_cost + h, where the
+    cost model supplies h; ties break toward the lowest node id. Calling
+    this with no open nodes is a contract error."""
+    h = cost_model.open_costs(graph)
+    if not h:
         raise ContractViolation("select_next called with no open nodes")
-    return min(costs.items(), key=lambda item: (item[1], item[0]))[0]
+    nodes = graph.nodes
+    return min(h, key=lambda v: (nodes[v].hist_cost + h[v], v))
 
 
 def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,

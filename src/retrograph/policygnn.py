@@ -85,6 +85,9 @@ class GnnHyper:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GnnHyper":
+        missing = [k for k in cls().to_dict() if k not in d]
+        if missing:
+            raise ValueError(f"policy-network settings lack {', '.join(missing)}")
         return cls(**{k: d[k] for k in cls().to_dict()})
 
 
@@ -154,15 +157,10 @@ class GnnParameters:
         if hyper.get("variant") != "gnn":
             raise ValueError(f"{path}: not a policy-network checkpoint")
         params = cls(GnnHyper.from_dict(hyper), seed=0)
-        for name, tensor in params.named_tensors():
-            if name not in arrays:
-                raise ValueError(f"{path}: checkpoint is missing tensor {name!r}")
-            if arrays[name].shape != tensor.data.shape:
-                raise ValueError(
-                    f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
-                    f"expected {tensor.data.shape}"
-                )
-            tensor.data = arrays[name]
+        named = params.named_tensors()
+        found = nm.expect_arrays(path, arrays, {n: t.data.shape for n, t in named})
+        for (_, tensor), data in zip(named, found):
+            tensor.data = data
         return params
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from retrograph import cli
+from retrograph.numerics import save_weights
 from retrograph.policygnn import GnnHyper, GnnParameters
 
 
@@ -76,6 +77,50 @@ class TestPlan:
         assert run(*args) == 2
         inv = write(ws / "inv.txt", "I\n")
         assert run(*args, "--inventory", inv) == 0
+
+    def test_string_reactants_are_a_config_error(self, ws, capsys):
+        table = write(ws / "rxn.jsonl",
+                      '{"product": "T", "reactants": "AB", "cost": 1.0}\n')
+        rc = run("plan", "--domain", table, "--inventory", write(ws / "inv.txt", "A\nB\n"),
+                 "--targets", targets_file(ws, ["T"]), "--out", str(ws / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "rxn.jsonl:1:" in err
+        assert not (ws / "out").exists()
+
+
+def value_net_file(path, arrays, **hyper):
+    tensors = [(n, np.zeros(shape)) for n, shape in arrays]
+    save_weights(path, tensors, {"variant": "value_net", **hyper})
+
+
+def gnn_file_without_margin(path):
+    params = GnnParameters(GnnHyper(hidden=8, rbf_n=4, layers=2, feature_bits=64))
+    hyper = dict(params.hyper.to_dict(), variant="gnn")
+    del hyper["margin"]
+    save_weights(path, [(n, t.data) for n, t in params.named_tensors()], hyper)
+
+
+VALUE_NET_ARRAYS = [("w1", (64, 4)), ("b1", (4,)), ("w2", (4, 1)), ("b2", (1,))]
+
+
+@pytest.mark.parametrize("cost, make", [
+    ("value_net", lambda p: value_net_file(
+        p, [a for a in VALUE_NET_ARRAYS if a[0] != "w2"], bits=64, hidden=4)),
+    ("value_net", lambda p: value_net_file(p, VALUE_NET_ARRAYS, hidden=4)),
+    ("value_net", lambda p: value_net_file(
+        p, [("w1", (32, 4))] + VALUE_NET_ARRAYS[1:], bits=64, hidden=4)),
+    ("gnn", gnn_file_without_margin),
+    ("gnn", lambda p: p.write_bytes(b"[1, 2]\n")),
+], ids=["value-net-no-w2", "value-net-no-bits", "value-net-w1-vs-bits",
+        "gnn-no-margin", "header-is-a-list"])
+def test_malformed_checkpoint_is_config_error(ws, capsys, cost, make):
+    ckpt = ws / "bad.bin"
+    make(ckpt)
+    rc = plan_small(ws, ["9"], "out", "--cost", cost, "--checkpoint", str(ckpt))
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (ws / "out").exists()
 
 
 class TestConfigHandling:

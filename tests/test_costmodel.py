@@ -1,9 +1,10 @@
 """Cost-model tests.
 
-The zero-weight policy network gives a closed-form check: all-equal logits
-make the normalized scores uniform, so every open node is priced at
-hist + lambda*ln(n). Value-net expectations were computed by hand from the
-fixture routes.
+Cost models supply only the heuristic h; the planner adds hist_cost. The
+zero-weight policy network gives a closed-form check: all-equal logits make
+the normalized scores uniform, so every open node gets h = lambda*ln(n) and
+is priced at hist + lambda*ln(n). Value-net expectations were computed by
+hand from the fixture routes.
 """
 
 import math
@@ -22,7 +23,7 @@ from retrograph.costmodel import (
     train_value_net,
 )
 from retrograph.molspace import AdditiveSplitDomain, Inventory, Reaction, features
-from retrograph.planner import PlanConfig, RouteReaction, RouteTree, plan
+from retrograph.planner import PlanConfig, RouteReaction, RouteTree, plan, select_next
 from retrograph.searchgraph import SearchGraph
 
 SMALL_HYPER = policygnn.GnnHyper(hidden=12, rbf_n=6, layers=2,
@@ -61,15 +62,12 @@ def zero_head_params():
 
 class TestZeroCost:
     def test_costs_are_hist(self):
+        # h is 0.0 everywhere, so the planner's price is hist_cost alone
         g = two_open_graph()
-        costs = ZeroCost().open_costs(g)
-        assert set(costs) == g.open_nodes()
-        for v, c in costs.items():
-            assert c == g.nodes[v].hist_cost
-
-    def test_nothing_to_save(self, tmp_path):
-        with pytest.raises(ValueError):
-            ZeroCost().save(tmp_path / "x.bin")
+        h = ZeroCost().open_costs(g)
+        assert h == dict.fromkeys(g.open_nodes(), 0.0)
+        assert select_next(g, ZeroCost()) == min(
+            g.open_nodes(), key=lambda v: (g.nodes[v].hist_cost, v))
 
 
 class TestValueNet:
@@ -102,9 +100,7 @@ class TestValueNet:
         assert vn.heuristic("T") == pytest.approx(2.5)
         assert vn.heuristic("12345") == pytest.approx(2.5)
         g = two_open_graph()
-        costs = vn.open_costs(g)
-        for v, c in costs.items():
-            assert c == pytest.approx(g.nodes[v].hist_cost + 2.5)
+        assert vn.open_costs(g) == dict.fromkeys(g.open_nodes(), vn.heuristic("T"))
 
     def test_save_load_round_trip(self, tmp_path):
         vn = train_value_net(self.fixture_routes(), bits=64, hidden=8,
@@ -169,10 +165,10 @@ class TestGnnCost:
         n = len(g.open_nodes())
         for lam in (1.0, 2.0):
             model = GnnCost(zero_head_params(), lam=lam)
-            costs = model.open_costs(g)
-            for v, c in costs.items():
-                want = g.nodes[v].hist_cost + lam * math.log(n)
-                assert c == pytest.approx(want), f"lam={lam} node={v}"
+            h = model.open_costs(g)
+            assert set(h) == g.open_nodes()
+            for v, c in h.items():
+                assert c == pytest.approx(lam * math.log(n)), f"lam={lam} node={v}"
 
     def test_scores_sum_to_one(self):
         g = two_open_graph()
@@ -191,8 +187,7 @@ class TestGnnCost:
                 assert set(costs) == set(scores) == g.open_nodes()
                 for v, s in scores.items():
                     assert s > 0.0
-                    want = g.nodes[v].hist_cost - lam * math.log(s)
-                    assert costs[v] == pytest.approx(want, rel=1e-12, abs=0.0)
+                    assert costs[v] == pytest.approx(-lam * math.log(s), rel=1e-12, abs=0.0)
 
     def test_underflowing_scores_keep_costs_finite(self):
         # logits far apart make some softmax scores exactly 0.0
@@ -295,7 +290,7 @@ class TestGnnCost:
         g = two_open_graph()
         model = GnnCost(policygnn.GnnParameters(SMALL_HYPER, seed=4), lam=1.5)
         path = tmp_path / "g.bin"
-        model.save(path)
+        model.params.save(path)
         back = GnnCost.load(path, lam=1.5)
         a, b = model.open_costs(g), back.open_costs(g)
         assert set(a) == set(b)

@@ -207,7 +207,10 @@ class TestTableDomain:
             Reaction("B", frozenset({"C"}), 0.5),
         ])
         path = tmp_path / "table.jsonl"
-        dom.to_jsonl(path)
+        path.write_text('{"product": "A", "reactants": ["C", "B"], "cost": 2.0}\n'
+                        '\n'
+                        '{"product": "B", "reactants": ["C"], "cost": 0.5}\n',
+                        encoding="utf-8")
         back = TableDomain.from_jsonl(path)
         for key in ("A", "B", "C"):
             assert [(r.reactants, r.cost) for r in back.expand(key, 5)] == \
@@ -215,10 +218,12 @@ class TestTableDomain:
 
     def test_from_jsonl_reports_bad_lines(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"product": "A", "reactants": ["B"], "cost": 1.0}\n'
-                        '{"product": "A"}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match=r":2:"):
-            TableDomain.from_jsonl(path)
+        for bad in ('{"product": "A"}',
+                    '{"product": "T", "reactants": "AB", "cost": 1.0}'):
+            path.write_text('{"product": "A", "reactants": ["B"], "cost": 1.0}\n'
+                            + bad + '\n', encoding="utf-8")
+            with pytest.raises(ValueError, match=r":2:"):
+                TableDomain.from_jsonl(path)
 
 
 class TestMakeDomain:
@@ -228,7 +233,8 @@ class TestMakeDomain:
 
     def test_jsonl_path(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        TableDomain([Reaction("A", frozenset({"B"}), 1.0)]).to_jsonl(path)
+        path.write_text('{"product": "A", "reactants": ["B"], "cost": 1.0}\n',
+                        encoding="utf-8")
         dom = make_domain(str(path))
         assert isinstance(dom, TableDomain)
         assert len(dom.expand("A", 5)) == 1
@@ -250,9 +256,9 @@ class CountingAdditive(AdditiveSplitDomain):
         super().__init__(seed)
         self.calls = Counter()
 
-    def reactions(self, molecule):
-        self.calls[molecule] += 1
-        return super().reactions(molecule)
+    def candidates(self, product):
+        self.calls[product] += 1
+        return super().candidates(product)
 
 
 class TestExpandMemo:
@@ -306,11 +312,11 @@ class TestExpandMemo:
             def canonical(self, raw):
                 return raw.strip()
 
-            def reactions(self, molecule):
+            def candidates(self, product):
                 self.calls += 1
                 if self.calls == 1:
                     raise RuntimeError("boom")
-                return [Reaction(molecule, frozenset({"I"}), 1.0)]
+                return [(1.0, ("I",))]
 
         dom = FailsOnce()
         with pytest.raises(RuntimeError):

@@ -106,7 +106,7 @@ class TestPlanBasics:
             def canonical(self, raw):
                 return raw.strip()
 
-            def reactions(self, molecule):
+            def candidates(self, product):
                 raise RuntimeError("boom")
 
         with pytest.raises(PlanningError, match="'T'"):
@@ -142,6 +142,29 @@ class TestSelectionOrder:
         res = plan(["T"], dom, inv, PlanConfig(budget=10))
         # A and B tie at hist 1.0; A was interned first (sorted reactants)
         assert [r.expanded for r in res.trace] == ["T", "A", "B"]
+
+    def test_select_next_adds_hist_cost_to_h(self):
+        class Stub(ZeroCost):
+            """h by molecule, in the reverse of the hist_cost order"""
+
+            def __init__(self, h):
+                self.h = h
+
+            def open_costs(self, graph):
+                return {v: self.h[graph.nodes[v].molecule] for v in graph.open_nodes()}
+
+        inv = Inventory(["I"])
+        g = SearchGraph()
+        t = g.add_target("T", inv)
+        g.merge_expand(t, [Reaction("T", ("A",), 1.0), Reaction("T", ("B",), 2.0),
+                           Reaction("T", ("C",), 3.0)], inv)
+        ids = {g.nodes[v].molecule: v for v in g.open_nodes()}
+        assert [g.nodes[ids[m]].hist_cost for m in "ABC"] == [1.0, 2.0, 3.0]
+        # prices 4.0, 3.0 and 3.5: B is cheapest though its h is not the least
+        assert select_next(g, Stub({"A": 3.0, "B": 1.0, "C": 0.5})) == ids["B"]
+        # A and B both price 3.0; the tie goes to the lower id
+        assert ids["A"] < ids["B"]
+        assert select_next(g, Stub({"A": 2.0, "B": 1.0, "C": 0.5})) == ids["A"]
 
     def test_select_next_contract(self):
         g = SearchGraph()

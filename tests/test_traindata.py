@@ -173,11 +173,10 @@ class TestGenerate:
             def canonical(self, raw):
                 return raw.strip()
 
-            def reactions(self, molecule):
-                if molecule == "BAD":
+            def candidates(self, product):
+                if product == "BAD":
                     raise RuntimeError("boom")
-                return [Reaction(molecule, frozenset({"I"}), 1.0)] \
-                    if molecule == "T" else []
+                return [(1.0, ("I",))] if product == "T" else []
 
         with caplog.at_level("WARNING", logger="retrograph.traindata"):
             examples = generate(["T", "BAD"], Flaky(), INV,
