@@ -265,11 +265,7 @@ class TableDomain(ExpansionOracle):
                 if not (isinstance(rec["reactants"], list)
                         and all(isinstance(r, str) for r in rec["reactants"])):
                     raise ValueError("'reactants' must be a list of strings")
-                rxn = Reaction(
-                    str(rec["product"]),
-                    (str(r) for r in rec["reactants"]),
-                    float(rec["cost"]),
-                )
+                rxn = Reaction(str(rec["product"]), rec["reactants"], float(rec["cost"]))
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad reaction record: {exc}") from exc
             rxns.append(rxn)
