@@ -14,7 +14,6 @@ error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -239,7 +238,7 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError("train needs --targets pointing at a dataset JSONL file")
     try:
         dataset = traindata.load_dataset(cfg.targets)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load dataset {cfg.targets}: {exc}") from exc
     if len(dataset) < 2:
         raise ConfigError(f"dataset {cfg.targets} has too few examples to train on")
@@ -260,12 +259,9 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError(f"cannot train: {exc}") from exc
     out = _outdir(cfg)
     result.params.save(out / "gnn.bin")
-    with open(out / "train_log.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "bce", "rank", "total", "val_rank"])
-        for row in result.log:
-            writer.writerow([row["epoch"], repr(row["bce"]), repr(row["rank"]),
-                             repr(row["total"]), repr(row["val_rank"])])
+    metrics.write_csv(out / "train_log.csv", ["epoch", "bce", "rank", "total", "val_rank"],
+                      ([row["epoch"], repr(row["bce"]), repr(row["rank"]),
+                        repr(row["total"]), repr(row["val_rank"])] for row in result.log))
     _dump_json(out / "train_summary.json", {
         "version": 1, "command": "train", "best_epoch": result.best_epoch,
         "epochs": cfg.epochs, "examples": len(dataset), "seed": cfg.seed,

@@ -7,6 +7,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .planner import PlanResult, RouteTree, TraceRecord
 
@@ -130,38 +131,33 @@ def reuse_histogram(routes: list[RouteTree], top_n: int = 10) -> ReuseStats:
 
 # -- CSV output (stable column order, repr floats) ---------------------------
 
-def write_curve_csv(path: str | Path, curve: dict) -> None:
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """A header row, then one line per row of *rows*."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["limit", "success_fraction"])
-        for limit, fraction in curve["limits"].items():
-            writer.writerow([limit, repr(fraction)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_curve_csv(path: str | Path, curve: dict) -> None:
+    write_csv(path, ["limit", "success_fraction"],
+              ([limit, repr(fraction)] for limit, fraction in curve["limits"].items()))
 
 
 def write_redundancy_csv(path: str | Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", "mode", "expanded", "unique"])
-        for row in rows:
-            writer.writerow([row["target"], row["mode"], row["expanded"], row["unique"]])
+    write_csv(path, ["target", "mode", "expanded", "unique"],
+              ([row["target"], row["mode"], row["expanded"], row["unique"]] for row in rows))
 
 
 def write_reuse_csv(path: str | Path, stats: ReuseStats) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["molecule", "routes"])
-        for molecule in sorted(stats.counts):
-            writer.writerow([molecule, stats.counts[molecule]])
+    write_csv(path, ["molecule", "routes"],
+              ([molecule, stats.counts[molecule]] for molecule in sorted(stats.counts)))
 
 
 def write_trace_csv(path: str | Path, traces: list[tuple[str, RunTrace]]) -> None:
     """One row per iteration, tagged with the run it belongs to."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "iteration", "expanded", "molecule_nodes",
-                         "reaction_nodes", "targets_successful"])
-        for run, trace in traces:
-            for rec in trace:
-                writer.writerow([run, rec.iteration, rec.expanded,
-                                 rec.molecule_nodes, rec.reaction_nodes,
-                                 sum(rec.successes)])
+    write_csv(path, ["run", "iteration", "expanded", "molecule_nodes",
+                     "reaction_nodes", "targets_successful"],
+              ([run, rec.iteration, rec.expanded, rec.molecule_nodes,
+                rec.reaction_nodes, sum(rec.successes)]
+               for run, trace in traces for rec in trace))

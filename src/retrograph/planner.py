@@ -36,16 +36,11 @@ class PlanConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        for name in ("budget", "k", "batch_size", "clusters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mode not in ("graph", "tree"):
             raise ValueError(f"mode must be 'graph' or 'tree', got {self.mode!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.clusters < 1:
-            raise ValueError(f"clusters must be >= 1, got {self.clusters}")
 
 
 @dataclass

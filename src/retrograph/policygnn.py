@@ -34,7 +34,7 @@ the logits equal :func:`forward`'s bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -58,9 +58,15 @@ class GnnHyper:
     margin: float = 4.0
 
     def __post_init__(self):
-        for name, low in (("hidden", 1), ("rbf_n", 1), ("feature_bits", 8), ("layers", 0)):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in ((int,) if f.type == "int" else (int, float)):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        for name, low in (("hidden", 1), ("rbf_n", 1), ("feature_bits", 8), ("layers", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 < self.rbf_high - self.rbf_low < math.inf:
+            raise ValueError(f"rbf range [{self.rbf_low}, {self.rbf_high}] is empty or infinite")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
         if not math.isfinite(self.margin):
@@ -76,12 +82,7 @@ class GnnHyper:
         return 2 * self.rbf_n
 
     def to_dict(self) -> dict:
-        return {
-            "hidden": self.hidden, "rbf_n": self.rbf_n, "rbf_low": self.rbf_low,
-            "rbf_high": self.rbf_high, "layers": self.layers,
-            "feature_bits": self.feature_bits, "drop_rate": self.drop_rate,
-            "margin": self.margin,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GnnHyper":
@@ -420,8 +421,6 @@ def _forward(arrays: _SnapshotArrays, params: GnnParameters, training: bool = Fa
                                                      training, rng)
                 layer_tapes.append(layer_tape)
             e = (e_new, None)
-        if last < 0:
-            v = v[arrays.open_rows]
         logits = (v @ params.out_w.data + params.out_b.data)[:, 0]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite value produced by the policy network")
@@ -437,16 +436,11 @@ def _backward(arrays: _SnapshotArrays, params: GnnParameters, tape,
     add_grad(params.out_w, v_head.T @ g)
     add_grad(params.out_b, g.sum(axis=0))
     g_v = g @ params.out_w.data.T
-    if not layer_tapes:
-        g_all = np.zeros((arrays.n_nodes, g_v.shape[1]))
-        g_all[arrays.open_rows] = g_v
-        g_v = g_all
     g_e = g_u = None
     with np.errstate(over="ignore", invalid="ignore"):
         for blocks, layer_tape in zip(params.layer_blocks[::-1], layer_tapes[::-1]):
             g_v, g_e, g_u = _meta_layer_backward(blocks, layer_tape, g_v, g_e, g_u)
-        if g_e is not None:
-            add_grad(params.edge_emb, g_e)
+        add_grad(params.edge_emb, g_e)
         g_proj = g_v[arrays.mol_ids, params.hyper.rbf_n:]
         add_grad(params.ffn_w, feats.T @ g_proj)
         add_grad(params.ffn_b, g_proj.sum(axis=0))

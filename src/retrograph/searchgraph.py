@@ -16,9 +16,10 @@ when its proof cost is finite. Historical cost of a node is the cheapest
 directed path from any target, summing reaction costs along the way.
 
 Both are derived values, stored once per node. Outside the from-scratch
-``recompute_*`` references, only :meth:`SearchGraph.propagate_update` writes
-them, apart from the 0 seed of a new target. Every public mutation leaves
-the graph at fixpoint, so callers never restore it.
+``recompute_*`` references, only :meth:`SearchGraph.propagate_update` and
+:meth:`SearchGraph.add_target`, which seeds a target at 0 and relaxes from it
+through ``_relax_from``, write them. Every public mutation leaves the graph at
+fixpoint. The structural rules are checked in :meth:`SearchGraph.check_invariants`.
 """
 
 from __future__ import annotations
@@ -93,31 +94,21 @@ class SearchGraph:
 
     # -- construction -----------------------------------------------------
 
-    def _new_node(self, node: Node) -> NodeId:
-        self.nodes.append(node)
-        self.succ.append([])
-        self.pred.append([])
-        return node.id
-
     def _new_molecule(self, molecule: MoleculeId, inventory: Inventory) -> NodeId:
         nid = len(self.nodes)
         in_inv = molecule in inventory
-        self._new_node(MoleculeNode(
+        self.nodes.append(MoleculeNode(
             id=nid, molecule=molecule, open=not in_inv, hist_cost=INF,
             proof_cost=0.0 if in_inv else INF, in_inventory=in_inv,
         ))
+        self.succ.append([])
+        self.pred.append([])
         self._molecules += 1
         if not in_inv:
             self._open.add(nid)
         if self.dedup:
             self.memory[molecule] = nid
         return nid
-
-    def _add_edge(self, src: NodeId, dst: NodeId) -> None:
-        if self.nodes[src].kind == self.nodes[dst].kind:
-            raise ContractViolation(f"edge {src}->{dst} is not bipartite")
-        self.succ[src].append(dst)
-        self.pred[dst].append(src)
 
     def add_target(self, molecule: MoleculeId, inventory: Inventory) -> NodeId:
         """Insert (or re-point at) *molecule* as a search target with cost 0."""
@@ -161,17 +152,20 @@ class SearchGraph:
                     f"molecule {node.molecule!r}"
                 )
             rid = len(self.nodes)
-            self._new_node(ReactionNode(
+            self.nodes.append(ReactionNode(
                 id=rid, reaction_cost=rxn.cost, hist_cost=INF, proof_cost=INF,
             ))
+            self.succ.append([])
+            self.pred.append([v])
+            self.succ[v].append(rid)
             self._reactions += 1
-            self._add_edge(v, rid)
             for mol in rxn.reactants:
                 if self.dedup and mol in self.memory:
                     mid = self.memory[mol]
                 else:
                     mid = self._new_molecule(mol, inventory)
-                self._add_edge(rid, mid)
+                self.succ[rid].append(mid)
+                self.pred[mid].append(rid)
             affected.add(rid)
         self.propagate_update(affected)
 
@@ -180,10 +174,7 @@ class SearchGraph:
     def _local_proof_cost(self, nid: NodeId) -> float:
         node = self.nodes[nid]
         if node.kind == "reaction":
-            children = self.succ[nid]
-            if not children:
-                raise ContractViolation(f"reaction node {nid} has no reactants")
-            return node.reaction_cost + sum(self.nodes[c].proof_cost for c in children)
+            return node.reaction_cost + sum(self.nodes[c].proof_cost for c in self.succ[nid])
         if node.in_inventory:
             return 0.0
         return min((self.nodes[r].proof_cost for r in self.succ[nid]), default=INF)
@@ -191,8 +182,8 @@ class SearchGraph:
     def propagate_update(self, affected: Iterable[NodeId]) -> None:
         """Bring historical and proof costs back to fixpoint after a
         structural change, touching only the successor/predecessor closure of
-        the affected set. The only writer of both, apart from the 0 seed of a
-        new target; :meth:`merge_expand` calls it on the nodes it touched."""
+        the affected set. The only writer of both, apart from :meth:`add_target`;
+        :meth:`merge_expand` calls it on the nodes it touched."""
         self._relax_from(affected)
         # proof cost only decreases; push decreases along predecessor edges
         queue = deque(affected)

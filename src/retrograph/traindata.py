@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,11 @@ from .searchgraph import SearchGraph, snapshot_from_json, snapshot_to_json
 log = logging.getLogger(__name__)
 
 DATASET_SCHEMA_VERSION = 1
+
+# the node fields that the policy network reads; costs must be finite
+_NODE_FIELDS = {"molecule": ("key", "open", "hist_cost"), "reaction": ("cost", "hist_cost")}
+_FIELD_OK = {"key": lambda x: type(x) is str, "open": lambda x: type(x) is bool}
+_FINITE = lambda x: type(x) in (int, float) and math.isfinite(x)
 
 
 @dataclass
@@ -53,7 +59,21 @@ class TrainingExample:
         return snap
 
     @classmethod
-    def from_record(cls, record: dict) -> "TrainingExample":
+    def from_record(cls, record) -> "TrainingExample":
+        if not (isinstance(record, dict) and isinstance(record.get("labels"), dict)):
+            raise ValueError("a record must be an object whose labels are an object")
+        nodes = record["nodes"]
+        for i, node in enumerate(nodes):
+            names = _NODE_FIELDS.get(node.get("kind")) if isinstance(node, dict) else None
+            if names is None:
+                raise ValueError(f"node {i} is not a molecule or reaction object")
+            for name in names:
+                if not _FIELD_OK.get(name, _FINITE)(node.get(name)):
+                    raise ValueError(f"node {i} has a bad or missing {name!r}")
+        for edge in record["edges"]:
+            if not (type(edge) is list and len(edge) == 2
+                    and all(type(x) is int and 0 <= x < len(nodes) for x in edge)):
+                raise ValueError(f"edge {edge} is not a pair of node ids below {len(nodes)}")
         labels = {int(k): int(v) for k, v in record["labels"].items()}
         snap = dict(record)
         snap["labels"] = None
@@ -92,10 +112,6 @@ def replay_route(route: RouteTree, oracle: ExpansionOracle, inventory: Inventory
     examples: list[TrainingExample] = []
     for molecule in order:
         nid = graph.memory[molecule]
-        if not graph.nodes[nid].open:
-            raise PlanningError(
-                f"route molecule {molecule!r} is not open during replay"
-            )
         labels = {
             v: 1 if graph.nodes[v].molecule in route_molecules else 0
             for v in graph.open_nodes()
@@ -161,7 +177,14 @@ def load_dataset(path: str | Path) -> list[TrainingExample]:
     if not lines:
         raise ValueError(f"{path}: empty dataset file (missing header)")
     header = json.loads(lines[0])
-    if header.get("kind") != "header" or header.get("schema_version") != DATASET_SCHEMA_VERSION:
+    if not (isinstance(header, dict) and header.get("kind") == "header"
+            and header.get("schema_version") == DATASET_SCHEMA_VERSION):
         raise ValueError(f"{path}: bad dataset header {lines[0]!r}")
-    return [TrainingExample.from_record(snapshot_from_json(line))
-            for line in lines[1:] if line.strip()]
+    examples = []
+    for lineno, line in enumerate(lines[1:], 2):
+        if line.strip():
+            try:
+                examples.append(TrainingExample.from_record(snapshot_from_json(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
+    return examples

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from retrograph import cli
+from retrograph.molspace import Inventory
 from retrograph.numerics import save_weights
 from retrograph.policygnn import GnnHyper, GnnParameters
+from retrograph.searchgraph import SearchGraph
+from retrograph.traindata import TrainingExample, save_dataset
 
 
 def write(path, text):
@@ -94,10 +97,13 @@ def value_net_file(path, arrays, **hyper):
     save_weights(path, tensors, {"variant": "value_net", **hyper})
 
 
-def gnn_file_without_margin(path):
+def gnn_file(path, drop=(), **header):
+    """A small policy-network checkpoint whose header is overridden by
+    *header* and lacks the keys in *drop*."""
     params = GnnParameters(GnnHyper(hidden=8, rbf_n=4, layers=2, feature_bits=64))
-    hyper = dict(params.hyper.to_dict(), variant="gnn")
-    del hyper["margin"]
+    hyper = dict(params.hyper.to_dict(), variant="gnn", **header)
+    for key in drop:
+        del hyper[key]
     save_weights(path, [(n, t.data) for n, t in params.named_tensors()], hyper)
 
 
@@ -110,10 +116,15 @@ VALUE_NET_ARRAYS = [("w1", (64, 4)), ("b1", (4,)), ("w2", (4, 1)), ("b2", (1,))]
     ("value_net", lambda p: value_net_file(p, VALUE_NET_ARRAYS, hidden=4)),
     ("value_net", lambda p: value_net_file(
         p, [("w1", (32, 4))] + VALUE_NET_ARRAYS[1:], bits=64, hidden=4)),
-    ("gnn", gnn_file_without_margin),
+    ("gnn", lambda p: gnn_file(p, drop=("margin",))),
     ("gnn", lambda p: p.write_bytes(b"[1, 2]\n")),
+    ("gnn", lambda p: gnn_file(p, hidden="8")),
+    ("gnn", lambda p: gnn_file(p, hidden=True)),
+    ("gnn", lambda p: gnn_file(p, rbf_low=10.0)),
+    ("gnn", lambda p: gnn_file(p, layers=0)),
 ], ids=["value-net-no-w2", "value-net-no-bits", "value-net-w1-vs-bits",
-        "gnn-no-margin", "header-is-a-list"])
+        "gnn-no-margin", "header-is-a-list", "gnn-hidden-string", "gnn-hidden-bool",
+        "gnn-empty-rbf-range", "gnn-zero-layers"])
 def test_malformed_checkpoint_is_config_error(ws, capsys, cost, make):
     ckpt = ws / "bad.bin"
     make(ckpt)
@@ -121,6 +132,32 @@ def test_malformed_checkpoint_is_config_error(ws, capsys, cost, make):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (ws / "out").exists()
+
+
+def one_node_record(**changes):
+    g = SearchGraph()
+    g.add_target("9", Inventory.integer_range(3))
+    return dict(TrainingExample(g.snapshot(), {0: 1}).to_record(), **changes)
+
+
+MOLECULE_WITHOUT_KEY = {k: v for k, v in one_node_record()["nodes"][0].items() if k != "key"}
+
+
+@pytest.mark.parametrize("bad", [
+    one_node_record(labels=None), [1, 2], one_node_record(nodes=[MOLECULE_WITHOUT_KEY]),
+    one_node_record(edges=[[0, 7]]),
+], ids=["labels-null", "record-is-a-list", "molecule-without-key", "edge-out-of-range"])
+def test_malformed_dataset_record_is_config_error(ws, capsys, bad):
+    # two good records, then the bad one on line 4
+    data = ws / "data.jsonl"
+    example = TrainingExample.from_record(one_node_record())
+    save_dataset(data, [example, example])
+    data.write_text(data.read_text() + json.dumps(bad) + "\n")
+    rc = run("train", "--targets", str(data), "--seed", "0", "--out", str(ws / "model"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "data.jsonl:4:" in err
+    assert not (ws / "model" / "gnn.bin").exists()
 
 
 class TestConfigHandling:
@@ -271,7 +308,7 @@ class TestWorkflow:
     @pytest.mark.parametrize("bad", [
         {"drop_rate": 1.5}, {"drop_rate": -0.5}, {"drop_rate": 1.0},
         {"train_batch": 0}, {"epochs": 0}, {"lr": -1}, {"hidden": 0},
-        {"lr": math.nan}, {"lr": math.inf}, {"margin": math.nan},
+        {"lr": math.nan}, {"lr": math.inf}, {"margin": math.nan}, {"layers": 0},
     ])
     def test_bad_training_values_are_config_errors(self, workflow, tmp_path, capsys,
                                                    bad):

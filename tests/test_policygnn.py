@@ -314,10 +314,8 @@ class TestScoreMatchesForward:
         for seed in (5, 6):
             assert_score_matches_forward(snap, GnnParameters(WIDE_HYPER, seed=seed))
 
-    @pytest.mark.parametrize("layers", [0, 1, 3])
+    @pytest.mark.parametrize("layers", [1, 3])
     def test_other_depths(self, layers):
-        # hidden = 2 * rbf_n, so that with no layers the head reads the
-        # layer-0 state
         hyper = GnnHyper(hidden=32, rbf_n=16, layers=layers, feature_bits=64,
                          drop_rate=0.0)
         params = GnnParameters(hyper, seed=layers)

@@ -432,6 +432,19 @@ class TestInvariantChecker:
         with pytest.raises(ContractViolation, match="duplicated"):
             g.check_invariants()
 
+    def test_detects_edge_between_molecules(self):
+        g, inv = build_fixture()
+        g.succ[0].append(2)                  # T -> A, linked both ways
+        g.pred[2].append(0)
+        with pytest.raises(ContractViolation, match="edge 0->2 is not bipartite"):
+            g.check_invariants()
+
+    def test_detects_reaction_without_reactants(self):
+        g, inv = build_fixture()
+        g.succ[4].clear()                    # R2 loses its only reactant
+        with pytest.raises(ContractViolation, match="reaction node 4 has no reactants"):
+            g.check_invariants()
+
     def test_open_nodes_returns_a_copy(self):
         g, inv = build_fixture()
         g.open_nodes().clear()
