@@ -185,6 +185,6 @@ def load_dataset(path: str | Path) -> list[TrainingExample]:
         if line.strip():
             try:
                 examples.append(TrainingExample.from_record(snapshot_from_json(line)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
     return examples

@@ -146,7 +146,9 @@ MOLECULE_WITHOUT_KEY = {k: v for k, v in one_node_record()["nodes"][0].items() i
 @pytest.mark.parametrize("bad", [
     one_node_record(labels=None), [1, 2], one_node_record(nodes=[MOLECULE_WITHOUT_KEY]),
     one_node_record(edges=[[0, 7]]),
-], ids=["labels-null", "record-is-a-list", "molecule-without-key", "edge-out-of-range"])
+    one_node_record(nodes=[dict(one_node_record()["nodes"][0], hist_cost=10**400)]),
+], ids=["labels-null", "record-is-a-list", "molecule-without-key", "edge-out-of-range",
+        "cost-beyond-float"])
 def test_malformed_dataset_record_is_config_error(ws, capsys, bad):
     # two good records, then the bad one on line 4
     data = ws / "data.jsonl"

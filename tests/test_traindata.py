@@ -245,6 +245,7 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="empty dataset"):
             load_dataset(empty)
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"kind": "header", "schema_version": 999}\n')
-        with pytest.raises(ValueError, match="header"):
-            load_dataset(bad)
+        for header in ('{"kind": "header", "schema_version": 999}', '["header", 1]'):
+            bad.write_text(header + "\n")
+            with pytest.raises(ValueError, match="bad dataset header"):
+                load_dataset(bad)
