@@ -3,9 +3,9 @@
 The package splits into a molecule/reaction domain layer (molspace), the
 shared search graph with success and cost bookkeeping (searchgraph), the
 planning loop and batching (planner), pluggable node-selection cost models
-(costmodel), a small autodiff and optimizer kit (numerics), the graph policy
-network (policygnn), training-data generation (traindata), evaluation
-metrics (metrics), and a command-line front end (cli).
+(costmodel), parameter tensors with MLP blocks and Adam (numerics), the
+graph policy network (policygnn), training-data generation (traindata),
+evaluation metrics (metrics), and a command-line front end (cli).
 """
 
 from .costmodel import GnnCost, ValueNetCost, ZeroCost, make_cost_model

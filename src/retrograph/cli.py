@@ -70,7 +70,7 @@ _VALUE_OK = {
     "str": lambda x: isinstance(x, str),
     "str | None": lambda x: x is None or isinstance(x, str),
     "int": _INT,
-    "float": lambda x: _INT(x) or isinstance(x, float),
+    "float": policygnn.is_float_setting,
     "bool": lambda x: isinstance(x, bool),
     "list[int]": lambda x: isinstance(x, list) and all(_INT(i) for i in x),
 }

@@ -15,7 +15,7 @@ import numpy as np
 from . import numerics as nm
 from . import policygnn
 from .molspace import features
-from .numerics import AdamState, Tensor, relu, tmean, zero_grads
+from .numerics import AdamState, Tensor, add_grad, zero_grads
 from .searchgraph import NodeId, SearchGraph
 
 VARIANTS = ("zero", "value_net", "gnn")
@@ -103,6 +103,27 @@ def remaining_cost_pairs(routes) -> list[tuple[str, float]]:
     return pairs
 
 
+def value_net_loss(x: np.ndarray, y: np.ndarray, params) -> Tensor:
+    """The regressor's mean squared error on (x, y). Its backward adds the
+    gradients of (w1, b1, w2, b2) in a reverse-mode sweep's operation
+    order, so a fit keeps its bits."""
+    w1, b1, w2, b2 = params
+    h = x @ w1.data + b1.data
+    a = h * (h > 0.0)
+    err = a @ w2.data + b2.data - y
+
+    def step() -> None:
+        g = err * (1.0 / err.size)
+        g = g + g
+        add_grad(b2, g.sum(axis=0))
+        add_grad(w2, a.T @ g)
+        g_h = (g @ w2.data.T) * (h > 0.0)
+        add_grad(b1, g_h.sum(axis=0))
+        add_grad(w1, x.T @ g_h)
+
+    return Tensor((err * err).sum() * (1.0 / err.size), step)
+
+
 def train_value_net(routes, bits: int = 2048, hidden: int = 64,
                     epochs: int = 200, lr: float = 1e-2,
                     seed: int = 0) -> ValueNetCost:
@@ -110,22 +131,17 @@ def train_value_net(routes, bits: int = 2048, hidden: int = 64,
     pairs = remaining_cost_pairs(routes)
     if not pairs:
         raise ValueError("no routes to train the value net on")
-    x = Tensor(np.stack([features(m, bits) for m, _ in pairs]))
-    y = Tensor(np.array([[c] for _, c in pairs]))
+    x = np.stack([features(m, bits) for m, _ in pairs])
+    y = np.array([[c] for _, c in pairs])
     rng = np.random.default_rng(seed)
-    w1 = Tensor(nm.kaiming_uniform(rng, bits, hidden), requires_grad=True)
-    b1 = Tensor(np.zeros(hidden), requires_grad=True)
-    w2 = Tensor(nm.kaiming_uniform(rng, hidden, 1), requires_grad=True)
-    b2 = Tensor(np.zeros(1), requires_grad=True)
-    params = [w1, b1, w2, b2]
+    params = [Tensor(nm.kaiming_uniform(rng, bits, hidden)), Tensor(np.zeros(hidden)),
+              Tensor(nm.kaiming_uniform(rng, hidden, 1)), Tensor(np.zeros(1))]
     adam = AdamState(params, lr=lr)
     for _ in range(epochs):
         zero_grads(params)
-        pred = relu(x @ w1 + b1) @ w2 + b2
-        err = pred - y
-        tmean(err * err).backward()
+        value_net_loss(x, y, params).backward()
         adam.step()
-    return ValueNetCost(w1.data, b1.data, w2.data, b2.data, bits)
+    return ValueNetCost(*(p.data for p in params), bits)
 
 
 class GnnCost(CostModel):

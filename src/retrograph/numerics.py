@@ -1,15 +1,12 @@
-"""Minimal dense numerics: a small reverse-mode tape, residual MLP blocks
-on arrays, Adam, radial-basis embeddings, and a versioned binary weight
-file.
+"""Minimal dense numerics: parameter tensors, residual MLP blocks on
+arrays, Adam, radial-basis embeddings, and a versioned binary weight file.
 
 Everything is numpy-backed and deterministic for a fixed seed. A
-:class:`Tensor` records a tape for reverse-mode gradients through the few
-operations the value net's regressor uses (``+``, ``-``, ``*``, ``@``,
-:func:`relu`, :func:`tsum`, :func:`tmean`), and any NaN or Inf they
-produce raises immediately. :class:`MlpBlock` runs on plain arrays
-instead: its caller forms the first affine layer's output, and the block's
-hand-written backward adds into its parameters' ``.grad``; its callers
-check finiteness once, on what they compute from it.
+:class:`Tensor` holds a float64 array and its gradient. Gradients are
+derived by hand: :class:`MlpBlock`'s backward and the value net's loss
+step (``costmodel``) add into their parameters' ``.grad``, and Adam steps
+the parameters from there. Finiteness is checked where a tensor is built
+and once per loss or update; any NaN or Inf raises ``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-Pull = Callable[[np.ndarray], np.ndarray]
-
 
 def _check_finite(arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
@@ -32,124 +27,25 @@ def _check_finite(arr: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array plus the closure needed to backpropagate through it."""
+    """A float64 array and its gradient; a loss also holds its gradient step."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_pulls")
+    __slots__ = ("data", "grad", "_step")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 pulls: Sequence[tuple["Tensor", Pull]] = ()):
+    def __init__(self, data, step: Callable[[], None] | None = None):
         self.data = _check_finite(np.asarray(data, dtype=np.float64))
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p, _ in pulls)
-        self._pulls = tuple(pulls)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        self._step = step
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar; gradients accumulate into
-        every reachable tensor with requires_grad set."""
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar loss tensor")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent, _ in node._pulls:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node.grad is None:
-                continue
-            for parent, pull in node._pulls:
-                if not parent.requires_grad:
-                    continue
-                g = pull(node.grad)
-                parent.grad = g if parent.grad is None else parent.grad + g
-
-    # operator sugar; a scalar or array right operand is wrapped as a constant
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+        """Runs the gradient step this loss was built with."""
+        if self._step is None:
+            raise ValueError("backward() needs a loss tensor built with its gradient step")
+        self._step()
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.data + b.data, pulls=(
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
-    ))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.data - b.data, pulls=(
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(-g, b.data.shape)),
-    ))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.data * b.data, pulls=(
-        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
-    ))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.data @ b.data, pulls=(
-        (a, lambda g: g @ b.data.T),
-        (b, lambda g: a.data.T @ g),
-    ))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return Tensor(a.data * mask, pulls=((a, lambda g: g * mask),))
-
-
-def tsum(a: Tensor) -> Tensor:
-    """The sum of every entry, as a scalar tensor."""
-    return Tensor(a.data.sum(),
-                  pulls=((a, lambda g: np.broadcast_to(g, a.data.shape).copy()),))
-
-
-def tmean(a: Tensor) -> Tensor:
-    """The mean of every entry, as a scalar tensor."""
-    return mul(tsum(a), _as_tensor(1.0 / a.data.size))
 
 
 def segment_mean_array(data: np.ndarray, segments: np.ndarray,
@@ -220,12 +116,12 @@ class MlpBlock:
                  rng: np.random.Generator):
         self.width = width
         self.drop_rate = drop_rate
-        self.w1 = Tensor(kaiming_uniform(rng, in_width, width), requires_grad=True)
-        self.b1 = Tensor(np.zeros(width), requires_grad=True)
-        self.w2 = Tensor(kaiming_uniform(rng, width, width), requires_grad=True)
-        self.b2 = Tensor(np.zeros(width), requires_grad=True)
-        self.w3 = Tensor(kaiming_uniform(rng, width, width), requires_grad=True)
-        self.b3 = Tensor(np.zeros(width), requires_grad=True)
+        self.w1 = Tensor(kaiming_uniform(rng, in_width, width))
+        self.b1 = Tensor(np.zeros(width))
+        self.w2 = Tensor(kaiming_uniform(rng, width, width))
+        self.b2 = Tensor(np.zeros(width))
+        self.w3 = Tensor(kaiming_uniform(rng, width, width))
+        self.b3 = Tensor(np.zeros(width))
 
     def parameters(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]

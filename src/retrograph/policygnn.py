@@ -44,6 +44,15 @@ from .numerics import (AdamState, BlockTape, MlpBlock, Tensor, add_grad, rbf_mat
                        segment_mean_array, segment_sum, zero_grads)
 
 
+def is_float_setting(value) -> bool:
+    """An int or float, not a bool, that converts to a float without overflow."""
+    try:
+        float(value)
+    except (OverflowError, TypeError, ValueError):
+        return False
+    return type(value) in (int, float)
+
+
 @dataclass(frozen=True)
 class GnnHyper:
     """Architecture and loss settings for the policy network."""
@@ -60,7 +69,7 @@ class GnnHyper:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if type(value) not in ((int,) if f.type == "int" else (int, float)):
+            if not (type(value) is int if f.type == "int" else is_float_setting(value)):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         for name, low in (("hidden", 1), ("rbf_n", 1), ("feature_bits", 8), ("layers", 1)):
             if getattr(self, name) < low:
@@ -111,10 +120,9 @@ class GnnParameters:
         self.hyper = hyper
         rng = np.random.default_rng(seed)
         h, n = hyper.hidden, hyper.rbf_n
-        self.edge_emb = Tensor(nm.kaiming_uniform(rng, h, 2).T, requires_grad=True)
-        self.ffn_w = Tensor(nm.kaiming_uniform(rng, hyper.feature_bits, n),
-                            requires_grad=True)
-        self.ffn_b = Tensor(np.zeros(n), requires_grad=True)
+        self.edge_emb = Tensor(nm.kaiming_uniform(rng, h, 2).T)
+        self.ffn_w = Tensor(nm.kaiming_uniform(rng, hyper.feature_bits, n))
+        self.ffn_b = Tensor(np.zeros(n))
         self.layer_blocks: list[_LayerBlocks] = []
         for layer in range(hyper.layers):
             v_in = hyper.node_init_width if layer == 0 else h
@@ -124,8 +132,8 @@ class GnnParameters:
                 node=MlpBlock(v_in + 2 * h, h, hyper.drop_rate, rng),
                 glob=MlpBlock(2 * h, h, hyper.drop_rate, rng),
             ))
-        self.out_w = Tensor(nm.kaiming_uniform(rng, h, 1), requires_grad=True)
-        self.out_b = Tensor(np.zeros(1), requires_grad=True)
+        self.out_w = Tensor(nm.kaiming_uniform(rng, h, 1))
+        self.out_b = Tensor(np.zeros(1))
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         out = [("edge_emb", self.edge_emb), ("ffn_w", self.ffn_w),

@@ -101,3 +101,21 @@ def test_traced_train_runs_through_the_wrapped_layers(tracing, tmp_path):
     assert len(tracer.spans_named("policygnn.meta_layer", first)) > 0
     assert len(tracer.spans_named("molspace.features", first)) == len(molecules)
     assert tracer.check_errors == []
+
+
+def test_traced_value_net_fit_spans_each_backward(tracing):
+    # numerics.backward times the value net's gradient step: one span per
+    # epoch of a fit
+    from retrograph.costmodel import train_value_net
+    from retrograph.planner import RouteReaction, RouteTree
+
+    route = RouteTree("T", RouteReaction(1.0, [RouteTree("I")]))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, traced=True)
+        first = tracer.begin_pass()
+        train_value_net([route], bits=16, hidden=4, epochs=3)
+    finally:
+        tracer.uninstall()
+    assert len(tracer.spans_named("numerics.backward", first)) == 3
+    assert tracer.check_errors == []

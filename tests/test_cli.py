@@ -122,9 +122,13 @@ VALUE_NET_ARRAYS = [("w1", (64, 4)), ("b1", (4,)), ("w2", (4, 1)), ("b2", (1,))]
     ("gnn", lambda p: gnn_file(p, hidden=True)),
     ("gnn", lambda p: gnn_file(p, rbf_low=10.0)),
     ("gnn", lambda p: gnn_file(p, layers=0)),
+    ("gnn", lambda p: gnn_file(p, margin=10**400)),
+    ("gnn", lambda p: gnn_file(p, rbf_high=10**400)),
+    ("gnn", lambda p: gnn_file(p, rbf_low=-10**400)),
 ], ids=["value-net-no-w2", "value-net-no-bits", "value-net-w1-vs-bits",
         "gnn-no-margin", "header-is-a-list", "gnn-hidden-string", "gnn-hidden-bool",
-        "gnn-empty-rbf-range", "gnn-zero-layers"])
+        "gnn-empty-rbf-range", "gnn-zero-layers", "gnn-margin-beyond-float",
+        "gnn-rbf-high-beyond-float", "gnn-rbf-low-beyond-float"])
 def test_malformed_checkpoint_is_config_error(ws, capsys, cost, make):
     ckpt = ws / "bad.bin"
     make(ckpt)
@@ -311,6 +315,7 @@ class TestWorkflow:
         {"drop_rate": 1.5}, {"drop_rate": -0.5}, {"drop_rate": 1.0},
         {"train_batch": 0}, {"epochs": 0}, {"lr": -1}, {"hidden": 0},
         {"lr": math.nan}, {"lr": math.inf}, {"margin": math.nan}, {"layers": 0},
+        {"lr": 10**400}, {"margin": 10**400},
     ])
     def test_bad_training_values_are_config_errors(self, workflow, tmp_path, capsys,
                                                    bad):
@@ -329,6 +334,7 @@ class TestWorkflow:
         ("train", {"epochs": "1"}), ("plan", {"cost": "gnn", "lam": "0.5"}),
         ("plan", {"inventory_max": 0}),
         ("plan", {"cost": "gnn", "lam": math.nan}), ("plan", {"cost": "gnn", "lam": math.inf}),
+        ("plan", {"cost": "gnn", "lam": 10**400}),
     ])
     def test_wrong_type_or_non_finite_config_values(self, workflow, tmp_path, capsys,
                                                      command, bad):

@@ -7,6 +7,7 @@ is priced at hist + lambda*ln(n). Value-net expectations were computed by
 hand from the fixture routes.
 """
 
+import hashlib
 import math
 from collections import Counter
 
@@ -141,6 +142,22 @@ class TestValueNet:
                              epochs=400, lr=1e-2, seed=0)
         for molecule, want in [("T", 1.5), ("A", 0.5), ("B", 4.0), ("I", 0.0)]:
             assert vn.heuristic(molecule) == pytest.approx(want, abs=0.1)
+
+    def test_fit_bytes_are_pinned(self):
+        # the sha256 of one small fit's weights, frozen from the reverse-mode
+        # tape that the hand-derived step replaced; the step keeps its
+        # operation order, so the bits must not move
+        vn = train_value_net(self.fixture_routes(), bits=64, hidden=8,
+                             epochs=50, seed=3)
+        blob = b"".join(a.tobytes() for a in (vn.w1, vn.b1, vn.w2, vn.b2))
+        assert hashlib.sha256(blob).hexdigest() == (
+            "160cf26601a73ad8ada8237d29f2e53f302604e6eeb4386339d265314a6f0b46")
+
+    def test_non_finite_fit_raises(self):
+        # a remaining cost too large to square overflows the loss
+        route = RouteTree("T", RouteReaction(1e200, [RouteTree("I")]))
+        with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
+            train_value_net([route], bits=64, hidden=4, epochs=3)
 
     def test_training_needs_routes(self):
         with pytest.raises(ValueError):

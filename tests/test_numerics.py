@@ -1,4 +1,4 @@
-"""Autodiff, MLP-block, optimizer, RBF, and weight-file tests.
+"""Tensor, MLP-block, optimizer, RBF, and weight-file tests.
 
 Gradient correctness is checked against central finite differences; the
 closed-form values (RBF components, Adam's first step) were computed by hand
@@ -14,20 +14,18 @@ from retrograph.numerics import (
     AdamState,
     MlpBlock,
     Tensor,
+    add_grad,
     dropout_mask,
     kaiming_uniform,
     load_weights,
-    matmul,
     rbf,
     rbf_matrix,
-    relu,
     save_weights,
     segment_mean_array,
     segment_sum,
-    tmean,
-    tsum,
     zero_grads,
 )
+from retrograph.costmodel import value_net_loss
 from retrograph.policygnn import GnnHyper
 
 
@@ -47,23 +45,6 @@ def numeric_grad(f, arrays, which, h=1e-6):
         grad[idx] = (up - down) / (2.0 * h)
         it.iternext()
     return grad
-
-
-def check_grads(build, arrays, rtol=1e-6, atol=1e-8):
-    """build(tensors) -> scalar Tensor; compares autodiff grads to FD."""
-    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = build(tensors)
-    out.backward()
-
-    def f(arrs):
-        ts = [Tensor(a) for a in arrs]
-        return build(ts).data.item()
-
-    for i, t in enumerate(tensors):
-        # numeric_grad perturbs entries in place, so hand it fresh copies
-        fd = numeric_grad(f, [a.copy() for a in arrays], i)
-        assert t.grad is not None, f"missing grad for input {i}"
-        np.testing.assert_allclose(t.grad, fd, rtol=rtol, atol=atol)
 
 
 def check_block_grads(block):
@@ -102,38 +83,23 @@ RNG = np.random.default_rng(1234)
 
 
 class TestGradients:
-    def test_add_mul_broadcast(self):
-        a = RNG.normal(size=(3, 4))
-        b = RNG.normal(size=(1, 4))
-        check_grads(lambda ts: tsum((ts[0] + ts[1]) * ts[0]), [a, b])
+    def test_value_net_loss_gradients(self):
+        # the value net's hand-derived step against central differences of
+        # its loss, for w1, b1, w2 and b2
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(6, 5)), rng.normal(size=(6, 1))
+        arrays = [rng.normal(size=(5, 4)), rng.normal(size=4),
+                  rng.normal(size=(4, 1)), rng.normal(size=1)]
+        assert np.abs(x @ arrays[0] + arrays[1]).min() > 1e-3   # off the relu kinks
+        params = [Tensor(a.copy()) for a in arrays]
+        value_net_loss(x, y, params).backward()
 
-    def test_sub_and_scalar_ops(self):
-        a = RNG.normal(size=(2, 3))
-        check_grads(lambda ts: tsum(ts[0] * 2.0 - ts[0] * ts[0] + 1.0), [a])
+        def f(arrs):
+            return value_net_loss(x, y, [Tensor(a) for a in arrs]).data.item()
 
-    def test_matmul(self):
-        a = RNG.normal(size=(3, 4))
-        b = RNG.normal(size=(4, 2))
-        check_grads(lambda ts: tsum(matmul(ts[0], ts[1])), [a, b])
-
-    def test_relu(self):
-        # keep values away from the kink where FD is ill-defined
-        a = RNG.normal(size=(3, 3))
-        a[np.abs(a) < 0.05] = 0.5
-        check_grads(lambda ts: tsum(relu(ts[0]) * ts[0]), [a])
-
-    def test_sum_axis_and_mean(self):
-        # tsum and tmean reduce every entry; the value net's loss is a tmean
-        a = RNG.normal(size=(3, 4))
-        check_grads(lambda ts: tsum(ts[0] * 2.0) * tsum(ts[0]), [a])
-        check_grads(lambda ts: tmean(ts[0] * ts[0]), [a])
-        assert tmean(Tensor(a)).data.item() == pytest.approx(a.mean(), abs=1e-15)
-
-    def test_shared_subexpression_accumulates(self):
-        x = Tensor(np.array([[2.0]]), requires_grad=True)
-        y = x * x + x * x        # 2x^2, dy/dx = 4x = 8
-        tsum(y).backward()
-        assert x.grad is not None and x.grad.item() == pytest.approx(8.0)
+        for i, p in enumerate(params):
+            fd = numeric_grad(f, [a.copy() for a in arrays], i)
+            np.testing.assert_allclose(p.grad, fd, rtol=1e-6, atol=1e-8)
 
     def test_mlp_block_gradients(self):
         check_block_grads(MlpBlock(5, 4, 0.0, np.random.default_rng(7)))
@@ -147,36 +113,29 @@ class TestGradients:
 
 
 class TestTensorBasics:
-    def test_backward_needs_scalar(self):
-        t = Tensor(np.ones((2, 2)), requires_grad=True)
-        with pytest.raises(ValueError):
-            t.backward()
+    def test_backward_needs_a_step(self):
+        # only a loss built with its gradient step can run one
+        with pytest.raises(ValueError, match="gradient step"):
+            Tensor(np.ones(1)).backward()
 
-    def test_requires_grad_propagates(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3))
-        assert (a + b).requires_grad
-        assert not (b + b).requires_grad
-
-    def test_constant_branch_gets_no_grad(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.full(3, 2.0))
-        tsum(a * b).backward()
-        assert b.grad is None
-        np.testing.assert_allclose(a.grad, [2.0, 2.0, 2.0])
+    def test_backward_runs_the_step(self):
+        p = Tensor(np.array([3.0]))
+        loss = Tensor(p.data.sum() ** 2, lambda: add_grad(p, 2.0 * p.data))
+        loss.backward()
+        loss.backward()
+        np.testing.assert_array_equal(p.grad, [12.0])
 
     def test_nan_and_inf_raise(self):
         with pytest.raises(FloatingPointError):
             Tensor(np.array([np.nan]))
         with pytest.raises(FloatingPointError):
             Tensor(np.array([np.inf]))
-        with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
-            Tensor(np.array([1e308])) * 10.0
 
     def test_zero_grads(self):
-        a = Tensor(np.ones(2), requires_grad=True)
-        tsum(a * a).backward()
-        assert a.grad is not None
+        a = Tensor(np.ones(2))
+        add_grad(a, np.array([1.0, 2.0]))
+        add_grad(a, np.array([3.0]), slice(1, 2))
+        np.testing.assert_array_equal(a.grad, [1.0, 5.0])
         zero_grads([a])
         assert a.grad is None
 
@@ -265,36 +224,35 @@ class TestAdam:
     def test_first_step_matches_hand_computation(self):
         # one step with constant gradient 3.0 at lr 0.1:
         # m_hat = 3, v_hat = 9, delta = -0.1 * 3/(3 + 1e-8)
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        p = Tensor(np.array([1.0]))
         opt = AdamState([p], lr=0.1)
         p.grad = np.array([3.0])
         opt.step()
         assert p.data[0] == pytest.approx(1.0 - 0.09999999966666669, abs=1e-15)
 
     def test_none_grad_is_noop(self):
-        p = Tensor(np.array([5.0]), requires_grad=True)
+        p = Tensor(np.array([5.0]))
         opt = AdamState([p], lr=0.5)
         p.grad = None
         opt.step()
         assert p.data[0] == 5.0
 
     def test_descends_quadratic(self):
-        p = Tensor(np.array([4.0]), requires_grad=True)
+        p = Tensor(np.array([4.0]))
         opt = AdamState([p], lr=0.05)
         for _ in range(400):
             zero_grads([p])
-            loss = tsum(p * p)
-            loss.backward()
+            add_grad(p, 2.0 * p.data)      # d(p^2)/dp
             opt.step()
         assert abs(p.data[0]) < 0.1
 
     def test_lr_is_required(self):
         with pytest.raises(TypeError):
-            AdamState([Tensor(np.zeros(1), requires_grad=True)])
+            AdamState([Tensor(np.zeros(1))])
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
-            AdamState([Tensor(np.zeros(1), requires_grad=True)], lr=-1.0)
+            AdamState([Tensor(np.zeros(1))], lr=-1.0)
 
 
 class TestRbf:
