@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from retrograph.costmodel import value_net_loss
 from retrograph.numerics import (
     AdamState,
     MlpBlock,
@@ -25,7 +26,6 @@ from retrograph.numerics import (
     segment_sum,
     zero_grads,
 )
-from retrograph.costmodel import value_net_loss
 from retrograph.policygnn import GnnHyper
 
 
@@ -117,13 +117,6 @@ class TestTensorBasics:
         # only a loss built with its gradient step can run one
         with pytest.raises(ValueError, match="gradient step"):
             Tensor(np.ones(1)).backward()
-
-    def test_backward_runs_the_step(self):
-        p = Tensor(np.array([3.0]))
-        loss = Tensor(p.data.sum() ** 2, lambda: add_grad(p, 2.0 * p.data))
-        loss.backward()
-        loss.backward()
-        np.testing.assert_array_equal(p.grad, [12.0])
 
     def test_nan_and_inf_raise(self):
         with pytest.raises(FloatingPointError):
