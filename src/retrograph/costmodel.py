@@ -23,7 +23,8 @@ VARIANTS = ("zero", "value_net", "gnn")
 
 class CostModel:
     """Interface: the heuristic h of each open molecule node. The planner
-    adds the node's historical cost; the lower sum expands first."""
+    adds the node's historical cost; the lower sum expands first. A model whose
+    h depends on the molecule alone also has ``heuristic(molecule)``."""
 
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
         """h for every open molecule node of the graph."""
@@ -33,6 +34,9 @@ class CostModel:
 class ZeroCost(CostModel):
     """h = 0: the planner's price is the historical cost alone, i.e.
     uniform-cost expansion."""
+
+    def heuristic(self, molecule: str) -> float:
+        return 0.0
 
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
         return dict.fromkeys(graph.open_nodes(), 0.0)

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -60,29 +60,25 @@ class Reaction:
 
 
 class Inventory:
-    """Immutable set of available starting molecules."""
+    """Immutable set of available starting molecules: the listed keys, and
+    the decimal keys str(i) of 1 <= i <= upper, tested without a set of them."""
 
-    def __init__(self, members: Iterable[MoleculeId]):
+    def __init__(self, members: Iterable[MoleculeId], upper: int = 0):
         self._members = frozenset(members)
+        self._upper, self._digits = upper, len(str(upper))
 
     def __contains__(self, molecule: MoleculeId) -> bool:
-        return molecule in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self) -> Iterator[MoleculeId]:
-        return iter(sorted(self._members))
-
-    def __repr__(self) -> str:
-        return f"Inventory({sorted(self._members)!r})"
+        return molecule in self._members or (
+            0 < len(molecule) <= self._digits and molecule.isascii()
+            and molecule.isdigit() and molecule[0] != "0"
+            and int(molecule) <= self._upper)
 
     @classmethod
     def integer_range(cls, upper: int) -> "Inventory":
         """Inventory {1..upper} for the integer domains."""
         if upper < 1:
             raise ValueError(f"inventory upper bound must be >= 1, got {upper}")
-        return cls(str(i) for i in range(1, upper + 1))
+        return cls((), upper)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Inventory":

@@ -11,6 +11,7 @@ shared graph so common intermediates are expanded once.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -195,7 +196,9 @@ def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
 
     Targets are canonicalized and deduplicated up front. The loop keeps
     running until every target is proved, so later targets still benefit
-    from expansions made after earlier ones succeed.
+    from expansions made after earlier ones succeed. A cost model with a
+    ``heuristic(molecule)`` prices through a lazy-deletion heap, keyed as in
+    :func:`select_next`, that takes the open nodes an expansion made cheaper.
     """
     if not targets:
         raise ValueError("plan needs at least one target")
@@ -208,17 +211,25 @@ def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
     }
     iterations = 0
     trace: list[TraceRecord] = []
+    nodes = graph.nodes
+    heuristic = getattr(cost_model, "heuristic", None)
+    price = lambda v: nodes[v].hist_cost + heuristic(nodes[v].molecule)
+    heap = [(price(v), v) for v in graph.open_nodes()] if heuristic else []
+    heapq.heapify(heap)
     while not graph.all_targets_successful() and iterations < cfg.budget:
-        opens = graph.open_nodes()
-        if not opens:
+        while heap and not (nodes[heap[0][1]].open and heap[0][0] == price(heap[0][1])):
+            heapq.heappop(heap)
+        if not (heap if heuristic else graph.open_nodes()):
             break
-        v = select_next(graph, cost_model)
-        molecule = graph.nodes[v].molecule
+        v = heapq.heappop(heap)[1] if heuristic else select_next(graph, cost_model)
+        molecule = nodes[v].molecule
         try:
             reactions = oracle.expand(molecule, cfg.k)
         except Exception as exc:
             raise PlanningError(f"oracle failed expanding {molecule!r}: {exc}") from exc
-        graph.merge_expand(v, reactions, inventory)
+        for m in graph.merge_expand(v, reactions, inventory):
+            if heuristic and nodes[m].open:
+                heapq.heappush(heap, (price(m), m))
         iterations += 1
         for t in tids:
             if t not in first and graph.nodes[t].success:

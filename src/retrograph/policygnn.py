@@ -53,9 +53,13 @@ def is_float_setting(value) -> bool:
     return type(value) in (int, float)
 
 
+MAX_PARAMETERS = 2**25   # 30x the default network; 1 GiB with gradients and Adam
+
+
 @dataclass(frozen=True)
 class GnnHyper:
-    """Architecture and loss settings for the policy network."""
+    """Architecture and loss settings for the policy network, which may have
+    at most ``MAX_PARAMETERS`` values, checked before any array is made."""
 
     hidden: int = 128
     rbf_n: int = 64
@@ -74,12 +78,21 @@ class GnnHyper:
         for name, low in (("hidden", 1), ("rbf_n", 1), ("feature_bits", 8), ("layers", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.parameter_count > MAX_PARAMETERS:
+            raise ValueError(f"{self.parameter_count} parameters exceed {MAX_PARAMETERS}")
         if not 0.0 < self.rbf_high - self.rbf_low < math.inf:
             raise ValueError(f"rbf range [{self.rbf_low}, {self.rbf_high}] is empty or infinite")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
         if not math.isfinite(self.margin):
             raise ValueError(f"margin must be finite, got {self.margin}")
+
+    @property
+    def parameter_count(self) -> int:
+        h = self.hidden   # an MlpBlock of in-width w has (w + 2h + 3) h values
+        layer = lambda v: (4 * v + 7 * h + 4 * (2 * h + 3)) * h
+        return (3 * h + 1 + (self.feature_bits + 1) * self.rbf_n
+                + layer(self.node_init_width) + (self.layers - 1) * layer(h))
 
     @property
     def rbf_tau(self) -> float:

@@ -16,10 +16,10 @@ when its proof cost is finite. Historical cost of a node is the cheapest
 directed path from any target, summing reaction costs along the way.
 
 Both are derived values, stored once per node. Outside the from-scratch
-``recompute_*`` references, only :meth:`SearchGraph.propagate_update` and
-:meth:`SearchGraph.add_target`, which seeds a target at 0 and relaxes from it
-through ``_relax_from``, write them. Every public mutation leaves the graph at
-fixpoint. The structural rules are checked in :meth:`SearchGraph.check_invariants`.
+``recompute_*`` references, only :meth:`SearchGraph.propagate_update`,
+:meth:`SearchGraph.merge_expand` and :meth:`SearchGraph.add_target` write them.
+Every public mutation leaves the graph at fixpoint. The structural rules are
+checked in :meth:`SearchGraph.check_invariants`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ContractViolation(RuntimeError):
     """An internal invariant of the search graph was broken."""
 
 
-@dataclass
+@dataclass(slots=True)
 class MoleculeNode:
     id: NodeId
     molecule: MoleculeId
@@ -60,7 +60,7 @@ class MoleculeNode:
         return self.proof_cost < INF
 
 
-@dataclass
+@dataclass(slots=True)
 class ReactionNode:
     id: NodeId
     reaction_cost: float
@@ -124,18 +124,17 @@ class SearchGraph:
         return nid
 
     def merge_expand(self, v: NodeId, reactions: Iterable[Reaction],
-                     inventory: Inventory) -> None:
+                     inventory: Inventory) -> list[NodeId]:
         """Expand open molecule node *v* with the oracle's reactions.
 
         One reaction node per reaction; reactant molecules are looked up in
         the memory first (graph mode) so nothing is duplicated. An empty
-        reaction list closes *v* as a permanent dead end. Only nodes and
-        edges are added here; :meth:`propagate_update` then brings proof and
-        historical costs back to fixpoint before this returns.
+        reaction list closes *v* as a permanent dead end.
 
-        It is seeded with *v* and the new reactions only: historical costs
-        flow down from *v*, proof costs flow up from the new reactions, and
-        a reused reactant's costs can change only through those new edges.
+        Reaction nodes are built with their costs, and reactants' historical
+        costs lowered as edges are added; :meth:`propagate_update` carries both
+        on from the lowered reactants with successors and, if a new reaction
+        is proved, from *v*. Returns the molecules whose historical cost fell.
         """
         node = self.nodes[v]
         if node.kind != "molecule" or not node.open:
@@ -144,30 +143,36 @@ class SearchGraph:
             raise ContractViolation(f"node {v} has no finite historical cost")
         node.open = False
         self._open.discard(v)
-        affected = {v}
+        nodes, succ, pred, memory = self.nodes, self.succ, self.pred, self.memory
+        molecule, base, out = node.molecule, node.hist_cost, succ[v]
+        fell, proved = {}, False
         for rxn in reactions:
-            if rxn.product != node.molecule:
-                raise ContractViolation(
-                    f"reaction product {rxn.product!r} does not match node "
-                    f"molecule {node.molecule!r}"
-                )
-            rid = len(self.nodes)
-            self.nodes.append(ReactionNode(
-                id=rid, reaction_cost=rxn.cost, hist_cost=INF, proof_cost=INF,
-            ))
-            self.succ.append([])
-            self.pred.append([v])
-            self.succ[v].append(rid)
+            if rxn.product != molecule:
+                raise ContractViolation(f"reaction product {rxn.product!r} does not "
+                                        f"match node molecule {molecule!r}")
+            rid, hist, kids, unproved = len(nodes), base + rxn.cost, [], False
+            nodes.append(rnode := ReactionNode(rid, rxn.cost, hist, INF))
+            succ.append(kids)
+            pred.append([v])
+            out.append(rid)
             self._reactions += 1
             for mol in rxn.reactants:
-                if self.dedup and mol in self.memory:
-                    mid = self.memory[mol]
-                else:
+                mid = memory.get(mol)   # the memory stays empty in tree mode
+                if mid is None:
                     mid = self._new_molecule(mol, inventory)
-                self.succ[rid].append(mid)
-                self.pred[mid].append(rid)
-            affected.add(rid)
-        self.propagate_update(affected)
+                kids.append(mid)
+                pred[mid].append(rid)
+                child = nodes[mid]
+                if hist < child.hist_cost:
+                    child.hist_cost = hist
+                    fell[mid] = None
+                unproved = unproved or child.proof_cost == INF
+            if not unproved:
+                rnode.proof_cost = rxn.cost + sum(nodes[c].proof_cost for c in kids)
+                proved = True
+        lowered = self.propagate_update([m for m in fell if succ[m]], [v] if proved else [])
+        fell.update(dict.fromkeys(m for m in lowered if nodes[m].kind == "molecule"))
+        return list(fell)
 
     # -- incremental maintenance ------------------------------------------
 
@@ -179,20 +184,21 @@ class SearchGraph:
             return 0.0
         return min((self.nodes[r].proof_cost for r in self.succ[nid]), default=INF)
 
-    def propagate_update(self, affected: Iterable[NodeId]) -> None:
-        """Bring historical and proof costs back to fixpoint after a
-        structural change, touching only the successor/predecessor closure of
-        the affected set. The only writer of both, apart from :meth:`add_target`;
-        :meth:`merge_expand` calls it on the nodes it touched."""
-        self._relax_from(affected)
+    def propagate_update(self, affected: Iterable[NodeId],
+                         proof_seeds: Iterable[NodeId] | None = None) -> list[NodeId]:
+        """Bring historical costs down from *affected*, and proof costs up
+        from *proof_seeds* (default *affected*), back to fixpoint after a
+        structural change. Returns the nodes whose historical cost fell."""
+        fell = self._relax_from(affected)
         # proof cost only decreases; push decreases along predecessor edges
-        queue = deque(affected)
+        nodes, pred = self.nodes, self.pred
+        queue = deque(affected if proof_seeds is None else proof_seeds)
         queued = set(queue)
         while queue:
             nid = queue.popleft()
             queued.discard(nid)
             new = self._local_proof_cost(nid)
-            node = self.nodes[nid]
+            node = nodes[nid]
             if new == node.proof_cost:
                 continue
             if new > node.proof_cost:
@@ -201,13 +207,21 @@ class SearchGraph:
                     f"during propagation"
                 )
             node.proof_cost = new
-            for p in self.pred[nid]:
+            if node.kind == "reaction":
+                # costs only fall, so the product takes the new cost or keeps its own
+                nid = pred[nid][0]
+                if not new < nodes[nid].proof_cost:
+                    continue
+                nodes[nid].proof_cost = new
+            for p in pred[nid]:
                 if p not in queued:
                     queue.append(p)
                     queued.add(p)
+        return fell
 
-    def _relax_from(self, seeds: Iterable[NodeId]) -> None:
+    def _relax_from(self, seeds: Iterable[NodeId]) -> list[NodeId]:
         # historical cost only decreases; push decreases along successor edges
+        fell = []
         queue = deque(seeds)
         queued = set(queue)
         while queue:
@@ -221,9 +235,11 @@ class SearchGraph:
                 cand = base + (child.reaction_cost if child.kind == "reaction" else 0.0)
                 if cand < child.hist_cost:
                     child.hist_cost = cand
+                    fell.append(s)
                     if s not in queued:
                         queue.append(s)
                         queued.add(s)
+        return fell
 
     # -- full recomputation (reference implementations) --------------------
 

@@ -125,10 +125,13 @@ VALUE_NET_ARRAYS = [("w1", (64, 4)), ("b1", (4,)), ("w2", (4, 1)), ("b2", (1,))]
     ("gnn", lambda p: gnn_file(p, margin=10**400)),
     ("gnn", lambda p: gnn_file(p, rbf_high=10**400)),
     ("gnn", lambda p: gnn_file(p, rbf_low=-10**400)),
+    ("gnn", lambda p: gnn_file(p, hidden=10**400)),
+    ("gnn", lambda p: gnn_file(p, feature_bits=2**20, rbf_n=64)),
 ], ids=["value-net-no-w2", "value-net-no-bits", "value-net-w1-vs-bits",
         "gnn-no-margin", "header-is-a-list", "gnn-hidden-string", "gnn-hidden-bool",
         "gnn-empty-rbf-range", "gnn-zero-layers", "gnn-margin-beyond-float",
-        "gnn-rbf-high-beyond-float", "gnn-rbf-low-beyond-float"])
+        "gnn-rbf-high-beyond-float", "gnn-rbf-low-beyond-float",
+        "gnn-hidden-beyond-cap", "gnn-fingerprint-projection-beyond-cap"])
 def test_malformed_checkpoint_is_config_error(ws, capsys, cost, make):
     ckpt = ws / "bad.bin"
     make(ckpt)
@@ -315,7 +318,8 @@ class TestWorkflow:
         {"drop_rate": 1.5}, {"drop_rate": -0.5}, {"drop_rate": 1.0},
         {"train_batch": 0}, {"epochs": 0}, {"lr": -1}, {"hidden": 0},
         {"lr": math.nan}, {"lr": math.inf}, {"margin": math.nan}, {"layers": 0},
-        {"lr": 10**400}, {"margin": 10**400},
+        {"lr": 10**400}, {"margin": 10**400}, {"hidden": 10**400}, {"hidden": 10**9},
+        {"rbf_n": 10**9}, {"bits": 10**9}, {"layers": 10**9},
     ])
     def test_bad_training_values_are_config_errors(self, workflow, tmp_path, capsys,
                                                    bad):

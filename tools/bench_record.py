@@ -14,6 +14,14 @@ Runs go one at a time. The file is rewritten after every workload, so an
 interrupted recording keeps the workloads already finished. ``--claim`` is
 optional: a change that claims no gain is recorded with ``"claim": null``.
 
+``--ab-rounds N`` adds an ``in_process_ab`` section, for metrics whose
+spread between processes is wider than their bound. Import time: each of
+4N rounds runs ``python -c "import retrograph.cli"`` from one side's
+``src/`` and then the other's, the first side flipped every round. CLI CPU:
+both sides' packages are imported into this process, and each of N rounds
+calls each copy's ``cli.main`` on the plan-single and plan-batch inputs
+(``plan`` and ``batch-plan``), the first side flipped every round.
+
 Each end-to-end metric gets a ``"verdict"`` from its ``BENCHMARK.json``
 bound: ``worse`` when the change median is worse than the parent median by
 more than the bound; otherwise ``unresolved`` when the parent's IQR over its
@@ -31,6 +39,8 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy
@@ -135,6 +145,106 @@ def record_workload(trees: dict[str, Path], name: str, pairs: int, first_seed: i
     }
 
 
+def import_seconds(tree: Path) -> float:
+    """Wall seconds of a fresh interpreter importing *tree*'s ``retrograph.cli``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import retrograph.cli"], cwd=tree, env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - t0
+
+
+def load_cli(tree: Path):
+    """*tree*'s ``retrograph.cli``, imported under its own module objects.
+    The copy's modules are then dropped from ``sys.modules``, so the next
+    call can import another tree's copy beside it."""
+    def drop() -> None:
+        for name in [n for n in sys.modules if n.split(".")[0] == "retrograph"]:
+            del sys.modules[name]
+
+    drop()
+    sys.path.insert(0, str(tree / "src"))
+    try:
+        import retrograph.cli as cli
+    finally:
+        sys.path.remove(str(tree / "src"))
+        drop()
+    return cli
+
+
+# plan-single's and plan-batch's inputs (perfbench/workloads.py)
+AB_TARGETS = [str(n) for n in range(101, 300, 2)]
+AB_COMMANDS = {
+    "plan": ["plan", "--budget", "100", "--k", "50"],
+    "batch-plan": ["batch-plan", "--budget", "100", "--k", "50", "--batch-size", "8",
+                   "--clusters", "4"],
+}
+
+
+def cli_seconds(cli, argv: list[str]) -> tuple[float, float]:
+    """(CPU, wall) seconds of one ``cli.main(argv)`` call that exits 0 or 1."""
+    c0, t0 = time.process_time(), time.perf_counter()
+    rc = cli.main(argv)
+    c1, t1 = time.process_time(), time.perf_counter()
+    if rc not in (0, 1):
+        raise SystemExit(f"bench_record: {' '.join(argv)} exited {rc}")
+    return c1 - c0, t1 - t0
+
+
+def ab_summary(parent: list[float], change: list[float]) -> dict:
+    """Both sides' quartiles and the rounds the change was faster in."""
+    return {"parent": quartiles(parent), "change": quartiles(change),
+            "change_wins": sum(c < p for p, c in zip(parent, change))}
+
+
+def in_process_ab(trees: dict[str, Path], rounds: int) -> dict:
+    """The ``in_process_ab`` section: import seconds over 4 * *rounds*
+    rounds, and CPU and wall seconds of each command in ``AB_COMMANDS``
+    over *rounds* rounds; the side that goes first flips every round."""
+    orders = [("parent", "change"), ("change", "parent")]
+    imports: dict[str, list[float]] = {"parent": [], "change": []}
+    for side in trees:   # warm the bytecode caches
+        import_seconds(trees[side])
+    for i in range(4 * rounds):
+        for side in orders[i % 2]:
+            imports[side].append(import_seconds(trees[side]))
+    section = {
+        "method": ("import: a fresh interpreter runs `import retrograph.cli` from each "
+                   "side's src/, bytecode caches warmed first. Commands: both sides' "
+                   "packages imported into one process, each copy's cli.main called "
+                   "in turn; times are per call. The side that goes first flips every "
+                   "round. Written by tools/bench_record.py --ab-rounds."),
+        "import": dict(ab_summary(imports["parent"], imports["change"]),
+                       command="python -c 'import retrograph.cli'", rounds=4 * rounds),
+    }
+    clis = {side: load_cli(tree) for side, tree in trees.items()}
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        work = Path(tmp)
+        (work / "targets.txt").write_text("".join(t + "\n" for t in AB_TARGETS),
+                                          encoding="utf-8")
+        (work / "config.json").write_text('{"bits": 2048}\n', encoding="utf-8")
+        for name, args in AB_COMMANDS.items():
+            argv = args + ["--domain", "additive-split", "--seed", "0", "--targets",
+                           str(work / "targets.txt"), "--config", str(work / "config.json")]
+            times = {side: {"cpu": [], "wall": []} for side in trees}
+            for i in range(rounds):
+                for side in orders[i % 2]:
+                    cpu, wall = cli_seconds(clis[side], argv + ["--out", str(work / side)])
+                    times[side]["cpu"].append(cpu)
+                    times[side]["wall"].append(wall)
+            section[name] = {
+                "command": " ".join(argv[:1] + args[1:]) + ", plan-single's targets",
+                "rounds": rounds,
+                "cpu_s": ab_summary(times["parent"]["cpu"], times["change"]["cpu"]),
+                "wall_s": ab_summary(times["parent"]["wall"], times["change"]["wall"]),
+            }
+            print(f"in-process A/B {name}: CPU median parent "
+                  f"{section[name]['cpu_s']['parent']['median']}, change "
+                  f"{section[name]['cpu_s']['change']['median']}", file=sys.stderr,
+                  flush=True)
+    return section
+
+
 def cpu_name() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -154,9 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--what", required=True, help="one line: what the change does")
     parser.add_argument("--claim", default=None,
                         help="WORKLOAD:METRIC:RULE; omit when no gain is claimed")
-    parser.add_argument("--workload", action="append", required=True,
+    parser.add_argument("--workload", action="append", default=[],
                         help="NAME:PAIRS:FIRST_SEED (repeatable)")
     parser.add_argument("--trace-seed", type=int, required=True)
+    parser.add_argument("--ab-rounds", type=int, default=0,
+                        help="rounds of the in-process A/B; 0 skips it")
     parser.add_argument("--work", type=Path, default=ROOT / ".bench_build")
     args = parser.parse_args(argv)
 
@@ -196,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, pairs, first in specs:
         record["workloads"][name] = record_workload(
             trees, name, pairs, first, args.trace_seed, bench["run_seconds"], end_to_end)
+        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    if args.ab_rounds > 0:
+        record["in_process_ab"] = in_process_ab(trees, args.ab_rounds)
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
