@@ -24,7 +24,7 @@ VARIANTS = ("zero", "value_net", "gnn")
 class CostModel:
     """Interface: the heuristic h of each open molecule node. The planner
     adds the node's historical cost; the lower sum expands first. A model whose
-    h depends on the molecule alone also has ``heuristic(molecule)``."""
+    h depends on the molecule alone has ``heuristic(molecule)``, which plan uses."""
 
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
         """h for every open molecule node of the graph."""

@@ -83,3 +83,69 @@ def test_claim_is_optional(bench_record, monkeypatch, tmp_path):
     assert bench_record.main(argv + ["--out", str(out), "--claim", "train:wall_s:a:b"]) == 0
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["claim"] == {"workload": "train", "metric": "wall_s", "rule": "a:b"}
+
+
+def test_load_cli_imports_a_separate_copy(bench_record, tmp_path):
+    # two copies of one tree: distinct module objects that both plan, and
+    # the copy the test process already holds is left in place
+    from retrograph import cli as held
+
+    first, second = bench_record.load_cli(ROOT), bench_record.load_cli(ROOT)
+    assert first is not second and first is not held
+    assert sys.modules["retrograph.cli"] is held
+    (tmp_path / "t.txt").write_text("9\n", encoding="utf-8")
+    argv = ["plan", "--domain", "additive-split", "--budget", "5", "--k", "3",
+            "--targets", str(tmp_path / "t.txt")]
+    for i, copy in enumerate((first, second)):
+        assert copy.main(argv + ["--out", str(tmp_path / str(i))]) in (0, 1)
+    assert ((tmp_path / "0" / "result.json").read_bytes()
+            == (tmp_path / "1" / "result.json").read_bytes())
+
+
+def test_in_process_ab_alternates_and_summarizes(bench_record, monkeypatch, tmp_path):
+    # no imports and no planning: each side reports a fixed time, and every
+    # call is logged, so the order of sides and the summaries can be checked
+    calls = []
+    seconds = {"parent": 2.0, "change": 1.0}
+    side_of = {tmp_path / "p": "parent", tmp_path / "c": "change"}
+
+    def fake_import(tree):
+        calls.append(("import", side_of[tree]))
+        return seconds[side_of[tree]] / 10
+
+    def fake_cli_seconds(cli, argv):
+        calls.append((argv[0], cli))
+        return seconds[cli], seconds[cli] + 0.5
+
+    monkeypatch.setattr(bench_record, "import_seconds", fake_import)
+    monkeypatch.setattr(bench_record, "load_cli", lambda tree: side_of[tree])
+    monkeypatch.setattr(bench_record, "cli_seconds", fake_cli_seconds)
+    section = bench_record.in_process_ab(
+        {"parent": tmp_path / "p", "change": tmp_path / "c"}, rounds=3)
+    imports = [side for kind, side in calls if kind == "import"][2:]   # after warm-up
+    assert imports == ["parent", "change", "change", "parent"] * 6
+    for name in bench_record.AB_COMMANDS:
+        assert [side for kind, side in calls if kind == name] == [
+            "parent", "change", "change", "parent", "parent", "change"]
+        entry = section[name]
+        assert entry["rounds"] == 3
+        assert entry["cpu_s"]["parent"]["median"] == 2.0
+        assert entry["cpu_s"]["change"]["median"] == 1.0
+        assert entry["wall_s"]["change"]["median"] == 1.5
+        assert entry["cpu_s"]["change_wins"] == 3
+    assert section["import"]["rounds"] == 12
+    assert section["import"]["change_wins"] == 12
+    assert section["import"]["parent"]["runs"] == [0.2] * 12
+
+
+def test_ab_rounds_add_the_section(bench_record, monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_record, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_record, "checkout",
+                        lambda rev, dest: (dest / "src").mkdir(parents=True, exist_ok=True))
+    monkeypatch.setattr(bench_record, "in_process_ab", lambda trees, rounds: {"rounds": rounds})
+    out = tmp_path / "ab.json"
+    assert bench_record.main(["--parent", "p", "--change", "c", "--what", "w",
+                              "--trace-seed", "9", "--ab-rounds", "4", "--out", str(out),
+                              "--work", str(tmp_path / "work")]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["workloads"] == {} and record["in_process_ab"] == {"rounds": 4}

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from retrograph.costmodel import ZeroCost
+from retrograph.costmodel import CostModel, ValueNetCost, ZeroCost
 from retrograph.molspace import (
     AdditiveSplitDomain,
     ExpansionOracle,
@@ -419,3 +419,83 @@ class TestResultSerialization:
         back = PlanResult.from_dict(res.to_dict())
         assert back.to_dict() == res.to_dict()
         assert back.all_success == res.all_success
+
+
+class ScanOnly(CostModel):
+    """Another model's h without ``heuristic``, so that plan prices every
+    open node through select_next on every iteration."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def open_costs(self, graph):
+        return self.model.open_costs(graph)
+
+
+def expansions(monkeypatch, run):
+    """(node ids that merge_expand expanded, in order; run's result)."""
+    order = []
+    merge = SearchGraph.merge_expand
+
+    def spy(graph, v, reactions, inventory):
+        order.append(v)
+        return merge(graph, v, reactions, inventory)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SearchGraph, "merge_expand", spy)
+        result = run()
+    return order, result
+
+
+def random_value_net(seed, bits=16, hidden=4):
+    rng = np.random.default_rng(seed)
+    return ValueNetCost(rng.normal(size=(bits, hidden)), rng.normal(size=hidden),
+                        rng.normal(size=(hidden, 1)), rng.normal(size=1), bits)
+
+
+class TestHeapEqualsScan:
+    """plan's heap of prices must expand exactly the nodes that a full scan
+    through select_next expands, ties included."""
+
+    def assert_same_run(self, monkeypatch, run):
+        heap_order, heap_result = expansions(monkeypatch, lambda: run(False))
+        scan_order, scan_result = expansions(monkeypatch, lambda: run(True))
+        assert heap_order == scan_order
+        results = lambda r: r if isinstance(r, list) else [r]
+        for a, b in zip(results(heap_result), results(scan_result), strict=True):
+            assert a.to_dict() == b.to_dict() and a.trace == b.trace
+        return len(heap_order)
+
+    @pytest.mark.parametrize("mode", ["graph", "tree"])
+    @pytest.mark.parametrize("costs", [(0.1, 2.0), (0.5, 1.0)], ids=["spread", "ties"])
+    def test_random_cyclic_tables(self, monkeypatch, mode, costs):
+        compared = 0
+        for trial in range(15):
+            rng = np.random.default_rng(3000 + trial)
+            keys = [f"m{i}" for i in range(8)]
+            rows = [(key, set(rng.choice(keys, size=int(rng.integers(1, 4)),
+                                         replace=False).tolist()),
+                     float(rng.choice(costs) if costs == (0.5, 1.0)
+                           else rng.uniform(*costs)))
+                    for key in keys for _ in range(int(rng.integers(0, 4)))]
+            dom = table(*rows)
+            inv = Inventory(rng.choice(keys, size=2, replace=False).tolist())
+            cfg = PlanConfig(budget=30, k=5, mode=mode)
+            for model in (ZeroCost(), random_value_net(trial)):
+                compared += self.assert_same_run(monkeypatch, lambda scan: plan(
+                    keys[:2], dom, inv, cfg, ScanOnly(model) if scan else model))
+        assert compared > 100
+
+    @pytest.mark.parametrize("mode", ["graph", "tree"])
+    def test_additive_plan_and_batch_plan(self, monkeypatch, mode):
+        dom, inv = AdditiveSplitDomain(seed=1), Inventory.integer_range(3)
+        targets = [str(n) for n in range(61, 100, 6)]
+        for model in (ZeroCost(), random_value_net(7)):
+            for target in targets[:3]:
+                assert self.assert_same_run(monkeypatch, lambda scan: plan(
+                    [target], dom, inv, PlanConfig(budget=40, k=8, mode=mode),
+                    ScanOnly(model) if scan else model)) > 0
+            assert self.assert_same_run(monkeypatch, lambda scan: batch_plan(
+                targets, dom, inv,
+                PlanConfig(budget=15, k=6, mode=mode, batch_size=3, clusters=2),
+                ScanOnly(model) if scan else model, bits=64)) > 0

@@ -478,3 +478,46 @@ class TestSnapshots:
         g.nodes[2].hist_cost = INF
         with pytest.raises(ContractViolation):
             g.snapshot()
+
+
+class TestExpansionDelta:
+    """merge_expand returns exactly the molecules whose hist_cost fell, new
+    ones included, each once, found here by diffing before and after."""
+
+    def expand_and_diff(self, g, v, reactions, inv):
+        before = [n.hist_cost for n in g.nodes]
+        fell = g.merge_expand(v, reactions, inv)
+        want = [n.id for n in g.nodes if n.kind == "molecule"
+                and n.hist_cost < (before[n.id] if n.id < len(before) else INF)]
+        assert sorted(fell) == want and len(set(fell)) == len(fell)
+        # how many fell below the expansion's own reactants
+        return len(set(fell) - {c for r in g.succ[v] for c in g.succ[r]})
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_random_cyclic_tables(self, dedup):
+        deeper = 0
+        for trial in range(30):
+            rng = np.random.default_rng(4000 + trial)
+            dom, keys = random_cyclic_table(rng)
+            inv = Inventory(rng.choice(keys, size=2, replace=False).tolist())
+            g = SearchGraph(dedup=dedup)
+            g.add_target(dom.canonical(keys[0]), inv)
+            for _ in range(40):
+                if not g.open_nodes():
+                    break
+                v = sorted(g.open_nodes())[int(rng.integers(len(g.open_nodes())))]
+                deeper += self.expand_and_diff(g, v, dom.expand(g.nodes[v].molecule, 5), inv)
+        # random order re-expands cheaper paths into expanded molecules, so
+        # some costs fall below the new reactants, through propagate_update
+        assert deeper > 0 or not dedup
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_random_additive_runs(self, dedup):
+        dom = AdditiveSplitDomain(seed=2)
+        inv = Inventory.integer_range(3)
+        rng = np.random.default_rng(11)
+        g = SearchGraph(dedup=dedup)
+        g.add_target(dom.canonical("40"), inv)
+        for _ in range(30):
+            v = sorted(g.open_nodes())[int(rng.integers(len(g.open_nodes())))]
+            self.expand_and_diff(g, v, dom.expand(g.nodes[v].molecule, 4), inv)

@@ -155,20 +155,21 @@ def import_seconds(tree: Path) -> float:
 
 
 def load_cli(tree: Path):
-    """*tree*'s ``retrograph.cli``, imported under its own module objects.
-    The copy's modules are then dropped from ``sys.modules``, so the next
-    call can import another tree's copy beside it."""
-    def drop() -> None:
-        for name in [n for n in sys.modules if n.split(".")[0] == "retrograph"]:
-            del sys.modules[name]
+    """*tree*'s ``retrograph.cli``, imported under module objects of its own,
+    so that another tree's copy can be imported beside it. The ``retrograph``
+    modules loaded before the call are loaded again after it."""
+    def take() -> dict:
+        return {n: sys.modules.pop(n) for n in list(sys.modules)
+                if n.split(".")[0] == "retrograph"}
 
-    drop()
+    before = take()
     sys.path.insert(0, str(tree / "src"))
     try:
         import retrograph.cli as cli
     finally:
         sys.path.remove(str(tree / "src"))
-        drop()
+        take()
+        sys.modules.update(before)
     return cli
 
 
