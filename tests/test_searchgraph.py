@@ -328,7 +328,9 @@ class TestPropagation:
         np.testing.assert_allclose([n.hist_cost for n in g.nodes], inc_hist)
 
 
-def random_cyclic_table(rng, n_keys=8):
+def random_cyclic_table(rng, n_keys=8, costs=None):
+    """Random reactions among n_keys molecules; each cost is uniform in
+    [0.1, 2.0), or drawn from *costs* when it is given (to make ties)."""
     keys = [f"m{i}" for i in range(n_keys)]
     rxns = []
     for key in keys:
@@ -336,7 +338,8 @@ def random_cyclic_table(rng, n_keys=8):
             size = int(rng.integers(1, 4))
             reactants = rng.choice(keys, size=size, replace=False)
             rxns.append(Reaction(key, frozenset(str(r) for r in reactants),
-                                 float(rng.uniform(0.1, 2.0))))
+                                 float(rng.uniform(0.1, 2.0) if costs is None
+                                       else rng.choice(costs))))
     return TableDomain(rxns), keys
 
 

@@ -192,12 +192,6 @@ def cli_seconds(cli, argv: list[str]) -> tuple[float, float]:
     return c1 - c0, t1 - t0
 
 
-def ab_summary(parent: list[float], change: list[float]) -> dict:
-    """Both sides' quartiles and the rounds the change was faster in."""
-    return {"parent": quartiles(parent), "change": quartiles(change),
-            "change_wins": sum(c < p for p, c in zip(parent, change))}
-
-
 def in_process_ab(trees: dict[str, Path], rounds: int) -> dict:
     """The ``in_process_ab`` section: import seconds over 4 * *rounds*
     rounds, and CPU and wall seconds of each command in ``AB_COMMANDS``
@@ -215,7 +209,7 @@ def in_process_ab(trees: dict[str, Path], rounds: int) -> dict:
                    "packages imported into one process, each copy's cli.main called "
                    "in turn; times are per call. The side that goes first flips every "
                    "round. Written by tools/bench_record.py --ab-rounds."),
-        "import": dict(ab_summary(imports["parent"], imports["change"]),
+        "import": dict(compare(imports["parent"], imports["change"], "lower"),
                        command="python -c 'import retrograph.cli'", rounds=4 * rounds),
     }
     clis = {side: load_cli(tree) for side, tree in trees.items()}
@@ -236,8 +230,8 @@ def in_process_ab(trees: dict[str, Path], rounds: int) -> dict:
             section[name] = {
                 "command": " ".join(argv[:1] + args[1:]) + ", plan-single's targets",
                 "rounds": rounds,
-                "cpu_s": ab_summary(times["parent"]["cpu"], times["change"]["cpu"]),
-                "wall_s": ab_summary(times["parent"]["wall"], times["change"]["wall"]),
+                "cpu_s": compare(times["parent"]["cpu"], times["change"]["cpu"], "lower"),
+                "wall_s": compare(times["parent"]["wall"], times["change"]["wall"], "lower"),
             }
             print(f"in-process A/B {name}: CPU median parent "
                   f"{section[name]['cpu_s']['parent']['median']}, change "
