@@ -367,19 +367,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        if args.command == "plan":
-            return cmd_plan(cfg)
-        if args.command == "batch-plan":
-            return cmd_batch_plan(cfg)
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
         if args.command == "eval":
             return cmd_eval(cfg, args.results)
-        if args.command == "study-redundancy":
-            return cmd_study_redundancy(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # the parser admits only these commands
+        return {"plan": cmd_plan, "batch-plan": cmd_batch_plan, "gen-data": cmd_gen_data,
+                "train": cmd_train, "study-redundancy": cmd_study_redundancy}[args.command](cfg)
     except (ConfigError, PlanningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

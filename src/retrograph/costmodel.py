@@ -68,7 +68,7 @@ class ValueNetCost(CostModel):
         return cached
 
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
-        return {v: self.heuristic(graph.nodes[v].molecule) for v in graph.open_nodes()}
+        return {v: self.heuristic(graph.molecule[v]) for v in graph.open_nodes()}
 
     def save(self, path) -> None:
         hyper = {"variant": "value_net", "bits": self.bits,

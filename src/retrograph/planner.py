@@ -11,14 +11,19 @@ shared graph so common intermediates are expanded once.
 
 from __future__ import annotations
 
+import gc
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .costmodel import CostModel, ZeroCost
 from .molspace import ExpansionOracle, Inventory, MoleculeId, features
-from .searchgraph import ContractViolation, NodeId, SearchGraph
+from .searchgraph import INF, ContractViolation, NodeId, SearchGraph
+
+
+MAX_FEATURE_VALUES = 2**25   # batch_plan's clustering features: 256 MiB of float64
 
 
 class PlanningError(RuntimeError):
@@ -59,15 +64,7 @@ class RouteTree:
     reaction: RouteReaction | None = None
 
     def to_dict(self) -> dict:
-        if self.reaction is None:
-            return {"molecule": self.molecule, "reaction": None}
-        return {
-            "molecule": self.molecule,
-            "reaction": {
-                "cost": self.reaction.cost,
-                "children": [c.to_dict() for c in self.reaction.children],
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RouteTree":
@@ -120,16 +117,10 @@ class TargetResult:
     route: RouteTree | None
 
     def to_dict(self) -> dict:
-        return {
-            "molecule": self.molecule,
-            "success": self.success,
-            "first_success_iteration": self.first_success_iteration,
-            "route": None if self.route is None else self.route.to_dict(),
-        }
+        return asdict(self)
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Per-iteration event emitted by the planning loop."""
 
     iteration: int
@@ -186,8 +177,8 @@ def select_next(graph: SearchGraph, cost_model: CostModel) -> NodeId:
     h = cost_model.open_costs(graph)
     if not h:
         raise ContractViolation("select_next called with no open nodes")
-    nodes = graph.nodes
-    return min(h, key=lambda v: (nodes[v].hist_cost + h[v], v))
+    hist = graph.hist_cost
+    return min(h, key=lambda v: (hist[v] + h[v], v))
 
 
 def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
@@ -203,58 +194,65 @@ def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
     if not targets:
         raise ValueError("plan needs at least one target")
     cost_model = cost_model if cost_model is not None else ZeroCost()
-    canon = oracle.canonical_unique(targets)
-    graph = SearchGraph(dedup=cfg.mode == "graph")
-    tids = [graph.add_target(key, inventory) for key in canon]
-    first: dict[NodeId, int] = {
-        t: 0 for t in tids if graph.nodes[t].success
-    }
-    iterations = 0
-    trace: list[TraceRecord] = []
-    nodes = graph.nodes
-    heuristic = getattr(cost_model, "heuristic", None)
-    price = lambda v: nodes[v].hist_cost + heuristic(nodes[v].molecule)
-    heap = [(price(v), v) for v in graph.open_nodes()] if heuristic else []
-    heapq.heapify(heap)
-    while not graph.all_targets_successful() and iterations < cfg.budget:
-        while heap and not (nodes[heap[0][1]].open and heap[0][0] == price(heap[0][1])):
-            heapq.heappop(heap)
-        if not (heap if heuristic else graph.open_nodes()):
-            break
-        v = heapq.heappop(heap)[1] if heuristic else select_next(graph, cost_model)
-        molecule = nodes[v].molecule
-        try:
-            reactions = oracle.expand(molecule, cfg.k)
-        except Exception as exc:
-            raise PlanningError(f"oracle failed expanding {molecule!r}: {exc}") from exc
-        for m in graph.merge_expand(v, reactions, inventory):
-            if heuristic and nodes[m].open:
-                heapq.heappush(heap, (price(m), m))
-        iterations += 1
-        for t in tids:
-            if t not in first and graph.nodes[t].success:
-                first[t] = iterations
-        trace.append(TraceRecord(
-            iteration=iterations, expanded=molecule,
+    # a plan call makes no reference cycle, so the collector would only
+    # rescan the graph's lists; it is paused until the call returns
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
+    try:
+        canon = oracle.canonical_unique(targets)
+        graph = SearchGraph(dedup=cfg.mode == "graph")
+        tids = [graph.add_target(key, inventory) for key in canon]
+        mols, hist, proof = graph.molecule, graph.hist_cost, graph.proof_cost
+        first: dict[NodeId, int] = {t: 0 for t in tids if proof[t] < INF}
+        iterations = 0
+        trace: list[TraceRecord] = []
+        heuristic = getattr(cost_model, "heuristic", None)
+        price = lambda v: hist[v] + heuristic(mols[v])
+        heap = [(price(v), v) for v in graph.open_nodes()] if heuristic else []
+        heapq.heapify(heap)
+        while not graph.all_targets_successful() and iterations < cfg.budget:
+            while heap and not (graph.open[heap[0][1]] and heap[0][0] == price(heap[0][1])):
+                heapq.heappop(heap)
+            if not (heap if heuristic else graph.open_nodes()):
+                break
+            v = heapq.heappop(heap)[1] if heuristic else select_next(graph, cost_model)
+            molecule = mols[v]
+            try:
+                reactions = oracle.expand(molecule, cfg.k)
+            except Exception as exc:
+                raise PlanningError(f"oracle failed expanding {molecule!r}: {exc}") from exc
+            for m in graph.merge_expand(v, reactions, inventory):
+                if heuristic and graph.open[m]:
+                    heapq.heappush(heap, (price(m), m))
+            iterations += 1
+            for t in tids:
+                if t not in first and proof[t] < INF:
+                    first[t] = iterations
+            trace.append(TraceRecord(
+                iteration=iterations, expanded=molecule,
+                molecule_nodes=graph.molecule_count(),
+                reaction_nodes=graph.reaction_count(),
+                successes=tuple(proof[t] < INF for t in tids),
+            ))
+        graph.check_invariants()
+        results = []
+        for key, t in zip(canon, tids):
+            success = proof[t] < INF
+            results.append(TargetResult(
+                molecule=key, success=success,
+                first_success_iteration=first.get(t),
+                route=extract_route(graph, t) if success else None,
+            ))
+        return PlanResult(
+            targets=results, iterations=iterations,
             molecule_nodes=graph.molecule_count(),
             reaction_nodes=graph.reaction_count(),
-            successes=tuple(graph.nodes[t].success for t in tids),
-        ))
-    graph.check_invariants()
-    results = []
-    for key, t in zip(canon, tids):
-        success = graph.nodes[t].success
-        results.append(TargetResult(
-            molecule=key, success=success,
-            first_success_iteration=first.get(t),
-            route=extract_route(graph, t) if success else None,
-        ))
-    return PlanResult(
-        targets=results, iterations=iterations,
-        molecule_nodes=graph.molecule_count(),
-        reaction_nodes=graph.reaction_count(),
-        mode=cfg.mode, trace=trace,
-    )
+            mode=cfg.mode, trace=trace,
+        )
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def extract_route(graph: SearchGraph, target: NodeId) -> RouteTree:
@@ -265,32 +263,25 @@ def extract_route(graph: SearchGraph, target: NodeId) -> RouteTree:
     descent cannot revisit the current path. The path set is still tracked
     and any candidate that would close a cycle is skipped.
     """
-    root = graph.nodes[target]
-    if root.kind != "molecule" or not root.success:
+    if graph.molecule[target] is None or not graph.proof_cost[target] < INF:
         raise PlanningError(f"node {target} is not a successful molecule node")
+    return _route_below(graph, target, frozenset())
 
-    def build(nid: NodeId, path: frozenset[NodeId]) -> RouteTree:
-        node = graph.nodes[nid]
-        if node.in_inventory:
-            return RouteTree(node.molecule, None)
-        extended = path | {nid}
-        options = sorted(
-            (graph.nodes[r].proof_cost, r) for r in graph.succ[nid]
-            if graph.nodes[r].success
-        )
-        for _, rid in options:
-            children = graph.succ[rid]
-            if any(c in extended for c in children):
-                continue
-            return RouteTree(node.molecule, RouteReaction(
-                cost=graph.nodes[rid].reaction_cost,
-                children=[build(c, extended) for c in children],
-            ))
-        raise ContractViolation(
-            f"no acyclic successful reaction under molecule node {nid}"
-        )
 
-    return build(target, frozenset())
+def _route_below(graph: SearchGraph, nid: NodeId, path: frozenset[NodeId]) -> RouteTree:
+    if graph.in_inventory[nid]:
+        return RouteTree(graph.molecule[nid], None)
+    extended = path | {nid}
+    proof = graph.proof_cost
+    for _, rid in sorted((proof[r], r) for r in graph.succ[nid] if proof[r] < INF):
+        children = graph.succ[rid]
+        if any(c in extended for c in children):
+            continue
+        return RouteTree(graph.molecule[nid], RouteReaction(
+            cost=graph.reaction_cost[rid],
+            children=[_route_below(graph, c, extended) for c in children],
+        ))
+    raise ContractViolation(f"no acyclic successful reaction under molecule node {nid}")
 
 
 def kmeans(points: np.ndarray, k: int, seed: int = 0,
@@ -343,6 +334,9 @@ def batch_plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory
         raise ValueError(
             f"cannot form {cfg.clusters} clusters from {len(canon)} targets"
         )
+    if len(canon) * bits > MAX_FEATURE_VALUES:
+        raise ValueError(f"{len(canon)} targets x {bits} feature bits exceed "
+                         f"{MAX_FEATURE_VALUES} feature values")
     feats = np.stack([features(t, bits) for t in canon])
     assign = kmeans(feats, cfg.clusters, cfg.seed)
     results = []

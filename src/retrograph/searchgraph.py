@@ -15,9 +15,9 @@ introduced by sharing can never prove themselves; a node succeeds exactly
 when its proof cost is finite. Historical cost of a node is the cheapest
 directed path from any target, summing reaction costs along the way.
 
-Both are derived values, stored once per node. Outside the from-scratch
-``recompute_*`` references, only :meth:`SearchGraph.propagate_update`,
-:meth:`SearchGraph.merge_expand` and :meth:`SearchGraph.add_target` write them.
+Both are derived values, stored once per node in a list per field. Outside
+the from-scratch ``recompute_*`` references, only :meth:`SearchGraph.add_target`,
+:meth:`SearchGraph.propagate_update` and :meth:`SearchGraph.merge_expand` write them.
 Every public mutation leaves the graph at fixpoint. The structural rules are
 checked in :meth:`SearchGraph.check_invariants`.
 """
@@ -27,9 +27,8 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable
+from itertools import chain, compress
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,63 +43,77 @@ class ContractViolation(RuntimeError):
     """An internal invariant of the search graph was broken."""
 
 
-@dataclass(slots=True)
-class MoleculeNode:
+class Node(NamedTuple):
+    """A copy of one node's fields, read through :attr:`SearchGraph.nodes`."""
+
     id: NodeId
-    molecule: MoleculeId
-    open: bool
-    hist_cost: float
-    proof_cost: float
-    in_inventory: bool
-
-    kind = "molecule"
-
-    @property
-    def success(self) -> bool:
-        return self.proof_cost < INF
-
-
-@dataclass(slots=True)
-class ReactionNode:
-    id: NodeId
+    kind: str
+    molecule: MoleculeId | None
     reaction_cost: float
     hist_cost: float
     proof_cost: float
-
-    kind = "reaction"
-
-    @property
-    def success(self) -> bool:
-        return self.proof_cost < INF
+    success: bool
+    open: bool
+    in_inventory: bool
 
 
-Node = MoleculeNode | ReactionNode
+class NodeView:
+    """Read-only sequence of a graph's nodes, built from its field lists."""
+
+    def __init__(self, graph: SearchGraph):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.succ)
+
+    def __getitem__(self, i: int) -> Node:
+        g = self._graph
+        i = range(len(g.succ))[i]
+        return Node(i, "reaction" if g.molecule[i] is None else "molecule", g.molecule[i],
+                    g.reaction_cost[i], g.hist_cost[i], g.proof_cost[i],
+                    g.proof_cost[i] < INF, g.open[i], g.in_inventory[i])
 
 
 class SearchGraph:
-    """Bipartite directed AND-OR graph grown by expanding open molecules."""
+    """Bipartite directed AND-OR graph grown by expanding open molecules.
+
+    Node state is one list per field, indexed by node id: the molecule key
+    (None for a reaction), the reaction cost (0.0 for a molecule), both
+    derived costs, and the open and inventory flags."""
 
     def __init__(self, dedup: bool = True):
         self.dedup = dedup
-        self.nodes: list[Node] = []
+        self.molecule: list[MoleculeId | None] = []
+        self.reaction_cost: list[float] = []
+        self.hist_cost: list[float] = []
+        self.proof_cost: list[float] = []
+        self.open: list[bool] = []
+        self.in_inventory: list[bool] = []
         self.succ: list[list[NodeId]] = []
         self.pred: list[list[NodeId]] = []
         self.targets: list[NodeId] = []
         self.memory: dict[MoleculeId, NodeId] = {}
-        # kept beside the node table so that queries need not scan it
+        # kept beside the open flags so that queries need not scan them
         self._open: set[NodeId] = set()
         self._molecules = 0
         self._reactions = 0
 
+    @property
+    def nodes(self) -> NodeView:
+        """The nodes as :class:`Node` copies, for callers off the hot path."""
+        return NodeView(self)
+
     # -- construction -----------------------------------------------------
 
     def _new_molecule(self, molecule: MoleculeId, inventory: Inventory) -> NodeId:
-        nid = len(self.nodes)
+        nid = len(self.succ)
         in_inv = molecule in inventory
-        self.nodes.append(MoleculeNode(
-            id=nid, molecule=molecule, open=not in_inv, hist_cost=INF,
-            proof_cost=0.0 if in_inv else INF, in_inventory=in_inv,
-        ))
+        self.molecule.append(molecule)
+        self.reaction_cost.append(0.0)
+        self.hist_cost.append(INF)
+        self.proof_cost.append(0.0 if in_inv else INF)
+        self.open.append(not in_inv)
+        self.in_inventory.append(in_inv)
         self.succ.append([])
         self.pred.append([])
         self._molecules += 1
@@ -118,8 +131,8 @@ class SearchGraph:
             nid = self._new_molecule(molecule, inventory)
         if nid not in self.targets:
             self.targets.append(nid)
-        if self.nodes[nid].hist_cost > 0.0:
-            self.nodes[nid].hist_cost = 0.0
+        if self.hist_cost[nid] > 0.0:
+            self.hist_cost[nid] = 0.0
             self._relax_from([nid])
         return nid
 
@@ -136,22 +149,28 @@ class SearchGraph:
         on from the lowered reactants with successors and, if a new reaction
         is proved, from *v*. Returns the molecules whose historical cost fell.
         """
-        node = self.nodes[v]
-        if node.kind != "molecule" or not node.open:
+        mols, hist_cost, proof_cost = self.molecule, self.hist_cost, self.proof_cost
+        if mols[v] is None or not self.open[v]:
             raise ContractViolation(f"node {v} is not an open molecule node")
-        if not math.isfinite(node.hist_cost):
+        if not math.isfinite(hist_cost[v]):
             raise ContractViolation(f"node {v} has no finite historical cost")
-        node.open = False
+        self.open[v] = False
         self._open.discard(v)
-        nodes, succ, pred, memory = self.nodes, self.succ, self.pred, self.memory
-        molecule, base, out = node.molecule, node.hist_cost, succ[v]
+        succ, pred, memory = self.succ, self.pred, self.memory
+        rcosts, is_open, in_inv = self.reaction_cost, self.open, self.in_inventory
+        molecule, base, out = mols[v], hist_cost[v], succ[v]
         fell, proved = {}, False
         for rxn in reactions:
             if rxn.product != molecule:
                 raise ContractViolation(f"reaction product {rxn.product!r} does not "
                                         f"match node molecule {molecule!r}")
-            rid, hist, kids, unproved = len(nodes), base + rxn.cost, [], False
-            nodes.append(rnode := ReactionNode(rid, rxn.cost, hist, INF))
+            rid, hist, kids, unproved = len(succ), base + rxn.cost, [], False
+            mols.append(None)
+            rcosts.append(rxn.cost)
+            hist_cost.append(hist)
+            proof_cost.append(INF)
+            is_open.append(False)
+            in_inv.append(False)
             succ.append(kids)
             pred.append([v])
             out.append(rid)
@@ -162,27 +181,26 @@ class SearchGraph:
                     mid = self._new_molecule(mol, inventory)
                 kids.append(mid)
                 pred[mid].append(rid)
-                child = nodes[mid]
-                if hist < child.hist_cost:
-                    child.hist_cost = hist
+                if hist < hist_cost[mid]:
+                    hist_cost[mid] = hist
                     fell[mid] = None
-                unproved = unproved or child.proof_cost == INF
+                unproved = unproved or proof_cost[mid] == INF
             if not unproved:
-                rnode.proof_cost = rxn.cost + sum(nodes[c].proof_cost for c in kids)
+                proof_cost[rid] = rxn.cost + sum(proof_cost[c] for c in kids)
                 proved = True
         lowered = self.propagate_update([m for m in fell if succ[m]], [v] if proved else [])
-        fell.update(dict.fromkeys(m for m in lowered if nodes[m].kind == "molecule"))
+        fell.update(dict.fromkeys(m for m in lowered if mols[m] is not None))
         return list(fell)
 
     # -- incremental maintenance ------------------------------------------
 
     def _local_proof_cost(self, nid: NodeId) -> float:
-        node = self.nodes[nid]
-        if node.kind == "reaction":
-            return node.reaction_cost + sum(self.nodes[c].proof_cost for c in self.succ[nid])
-        if node.in_inventory:
+        proof = self.proof_cost
+        if self.molecule[nid] is None:
+            return self.reaction_cost[nid] + sum(proof[c] for c in self.succ[nid])
+        if self.in_inventory[nid]:
             return 0.0
-        return min((self.nodes[r].proof_cost for r in self.succ[nid]), default=INF)
+        return min((proof[r] for r in self.succ[nid]), default=INF)
 
     def propagate_update(self, affected: Iterable[NodeId],
                          proof_seeds: Iterable[NodeId] | None = None) -> list[NodeId]:
@@ -191,28 +209,27 @@ class SearchGraph:
         structural change. Returns the nodes whose historical cost fell."""
         fell = self._relax_from(affected)
         # proof cost only decreases; push decreases along predecessor edges
-        nodes, pred = self.nodes, self.pred
+        proof, pred, mols = self.proof_cost, self.pred, self.molecule
         queue = deque(affected if proof_seeds is None else proof_seeds)
         queued = set(queue)
         while queue:
             nid = queue.popleft()
             queued.discard(nid)
             new = self._local_proof_cost(nid)
-            node = nodes[nid]
-            if new == node.proof_cost:
+            if new == proof[nid]:
                 continue
-            if new > node.proof_cost:
+            if new > proof[nid]:
                 raise ContractViolation(
-                    f"proof cost of node {nid} rose from {node.proof_cost} to {new} "
+                    f"proof cost of node {nid} rose from {proof[nid]} to {new} "
                     f"during propagation"
                 )
-            node.proof_cost = new
-            if node.kind == "reaction":
+            proof[nid] = new
+            if mols[nid] is None:
                 # costs only fall, so the product takes the new cost or keeps its own
                 nid = pred[nid][0]
-                if not new < nodes[nid].proof_cost:
+                if not new < proof[nid]:
                     continue
-                nodes[nid].proof_cost = new
+                proof[nid] = new
             for p in pred[nid]:
                 if p not in queued:
                     queue.append(p)
@@ -221,20 +238,20 @@ class SearchGraph:
 
     def _relax_from(self, seeds: Iterable[NodeId]) -> list[NodeId]:
         # historical cost only decreases; push decreases along successor edges
+        hist_cost, rcosts, succ = self.hist_cost, self.reaction_cost, self.succ
         fell = []
         queue = deque(seeds)
         queued = set(queue)
         while queue:
             nid = queue.popleft()
             queued.discard(nid)
-            base = self.nodes[nid].hist_cost
+            base = hist_cost[nid]
             if not math.isfinite(base):
                 continue
-            for s in self.succ[nid]:
-                child = self.nodes[s]
-                cand = base + (child.reaction_cost if child.kind == "reaction" else 0.0)
-                if cand < child.hist_cost:
-                    child.hist_cost = cand
+            for s in succ[nid]:
+                cand = base + rcosts[s]
+                if cand < hist_cost[s]:
+                    hist_cost[s] = cand
                     fell.append(s)
                     if s not in queued:
                         queue.append(s)
@@ -246,23 +263,22 @@ class SearchGraph:
     def recompute_proof_costs(self) -> None:
         """From-scratch greatest fixpoint: every proof cost INF, then sweep
         every node down to its local value until nothing changes."""
-        for node in self.nodes:
-            node.proof_cost = INF
+        proof = self.proof_cost
+        proof[:] = [INF] * len(proof)
         changed = True
         while changed:
             changed = False
-            for node in self.nodes:
-                new = self._local_proof_cost(node.id)
-                if new < node.proof_cost:
-                    node.proof_cost = new
+            for nid in range(len(proof)):
+                new = self._local_proof_cost(nid)
+                if new < proof[nid]:
+                    proof[nid] = new
                     changed = True
 
     def recompute_hist_costs(self) -> None:
         """From-scratch shortest-path relaxation from the targets."""
-        for node in self.nodes:
-            node.hist_cost = INF
+        self.hist_cost[:] = [INF] * len(self.hist_cost)
         for t in self.targets:
-            self.nodes[t].hist_cost = 0.0
+            self.hist_cost[t] = 0.0
         self._relax_from(list(self.targets))
 
     # -- queries ------------------------------------------------------------
@@ -277,13 +293,13 @@ class SearchGraph:
         return self._reactions
 
     def all_targets_successful(self) -> bool:
-        return all(self.nodes[t].success for t in self.targets)
+        return all(self.proof_cost[t] < INF for t in self.targets)
 
     def check_invariants(self) -> None:
         """Structural sanity sweep; raises ContractViolation on breakage.
         The edge checks run on flat arrays of every succ and pred entry."""
-        n = len(self.nodes)
-        is_rxn = np.fromiter((node.kind == "reaction" for node in self.nodes), bool, n)
+        n = len(self.succ)
+        is_rxn = np.fromiter((m is None for m in self.molecule), bool, n)
         n_succ = np.fromiter(map(len, self.succ), np.int64, n)
         n_pred = np.fromiter(map(len, self.pred), np.int64, n)
         src = np.repeat(np.arange(n), n_succ)
@@ -308,25 +324,22 @@ class SearchGraph:
         if (i := first(is_rxn & (n_succ == 0))) is not None:
             raise ContractViolation(f"reaction node {i} has no reactants")
         for i in np.flatnonzero(~is_rxn & (n_succ > 0)).tolist():
-            if self.nodes[i].in_inventory:
+            if self.in_inventory[i]:
                 raise ContractViolation(f"inventory node {i} was expanded")
-            if self.nodes[i].open:
+            if self.open[i]:
                 raise ContractViolation(f"open node {i} has successors")
-        molecules = [node for node in self.nodes if node.kind == "molecule"]
         seen: dict[MoleculeId, NodeId] = {}
-        for node in molecules if self.dedup else ():
-            if node.molecule in seen:
+        for i in np.flatnonzero(~is_rxn).tolist() if self.dedup else ():
+            if (mol := self.molecule[i]) in seen:
                 raise ContractViolation(
-                    f"molecule {node.molecule!r} duplicated at nodes "
-                    f"{seen[node.molecule]} and {node.id}"
-                )
-            seen[node.molecule] = node.id
-        if {n.id for n in molecules if n.open} != self._open:
+                    f"molecule {mol!r} duplicated at nodes {seen[mol]} and {i}")
+            seen[mol] = i
+        if set(compress(range(n), self.open)) != self._open:
             raise ContractViolation("open-node index out of sync with node table")
-        if (self._molecules, self._reactions) != (len(molecules),
-                                                  len(self.nodes) - len(molecules)):
+        molecules = n - int(is_rxn.sum())
+        if (self._molecules, self._reactions) != (molecules, n - molecules):
             raise ContractViolation("node counters out of sync with node table")
-        if self.dedup and len(self.memory) != len(molecules):
+        if self.dedup and len(self.memory) != molecules:
             raise ContractViolation("molecule memory out of sync with node table")
 
     # -- serialization -------------------------------------------------------
@@ -334,21 +347,18 @@ class SearchGraph:
     def snapshot(self) -> dict:
         """JSON-ready structural snapshot; its ``labels`` field is None."""
         nodes = []
-        for node in self.nodes:
-            if not math.isfinite(node.hist_cost):
-                raise ContractViolation(f"node {node.id} has non-finite hist_cost")
-            if node.kind == "molecule":
-                nodes.append({
-                    "kind": "molecule", "key": node.molecule, "open": node.open,
-                    "success": node.success, "hist_cost": node.hist_cost,
-                    "in_inventory": node.in_inventory,
-                })
+        for i, mol in enumerate(self.molecule):
+            hist, success = self.hist_cost[i], self.proof_cost[i] < INF
+            if not math.isfinite(hist):
+                raise ContractViolation(f"node {i} has non-finite hist_cost")
+            if mol is None:
+                nodes.append({"kind": "reaction", "cost": self.reaction_cost[i],
+                              "success": success, "hist_cost": hist})
             else:
-                nodes.append({
-                    "kind": "reaction", "cost": node.reaction_cost,
-                    "success": node.success, "hist_cost": node.hist_cost,
-                })
-        edges = [[src, dst] for src in range(len(self.nodes)) for dst in self.succ[src]]
+                nodes.append({"kind": "molecule", "key": mol, "open": self.open[i],
+                              "success": success, "hist_cost": hist,
+                              "in_inventory": self.in_inventory[i]})
+        edges = [[src, dst] for src in range(len(self.succ)) for dst in self.succ[src]]
         return {
             "version": 1,
             "dedup": self.dedup,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .molspace import ExpansionOracle, Inventory, Reaction
 from .planner import PlanConfig, PlanningError, RouteTree, plan
-from .searchgraph import SearchGraph, snapshot_from_json, snapshot_to_json
+from .searchgraph import INF, SearchGraph, snapshot_from_json, snapshot_to_json
 
 log = logging.getLogger(__name__)
 
@@ -113,7 +113,7 @@ def replay_route(route: RouteTree, oracle: ExpansionOracle, inventory: Inventory
     for molecule in order:
         nid = graph.memory[molecule]
         labels = {
-            v: 1 if graph.nodes[v].molecule in route_molecules else 0
+            v: 1 if graph.molecule[v] in route_molecules else 0
             for v in graph.open_nodes()
         }
         examples.append(TrainingExample(graph.snapshot(), labels))
@@ -122,7 +122,7 @@ def replay_route(route: RouteTree, oracle: ExpansionOracle, inventory: Inventory
         else:
             reactions = [route_reactions[molecule]]
         graph.merge_expand(nid, reactions, inventory)
-    if not graph.nodes[tid].success:
+    if not graph.proof_cost[tid] < INF:
         raise PlanningError(
             f"replaying the route for {route.molecule!r} did not prove it"
         )

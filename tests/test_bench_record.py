@@ -103,8 +103,9 @@ def test_load_cli_imports_a_separate_copy(bench_record, tmp_path):
 
 
 def test_in_process_ab_alternates_and_summarizes(bench_record, monkeypatch, tmp_path):
-    # no imports and no planning: each side reports a fixed time, and every
-    # call is logged, so the order of sides and the summaries can be checked
+    # no imports and no planning: each side reports a fixed time per call,
+    # and every call is logged, so the order of sides and the summaries
+    # (summed over a workload's calls) can be checked
     calls = []
     seconds = {"parent": 2.0, "change": 1.0}
     side_of = {tmp_path / "p": "parent", tmp_path / "c": "change"}
@@ -119,23 +120,47 @@ def test_in_process_ab_alternates_and_summarizes(bench_record, monkeypatch, tmp_
 
     monkeypatch.setattr(bench_record, "import_seconds", fake_import)
     monkeypatch.setattr(bench_record, "load_cli", lambda tree: side_of[tree])
+    monkeypatch.setattr(bench_record, "write_ab_inputs", lambda work, cli: None)
     monkeypatch.setattr(bench_record, "cli_seconds", fake_cli_seconds)
     section = bench_record.in_process_ab(
         {"parent": tmp_path / "p", "change": tmp_path / "c"}, rounds=3)
     imports = [side for kind, side in calls if kind == "import"][2:]   # after warm-up
     assert imports == ["parent", "change", "change", "parent"] * 6
-    for name in bench_record.AB_COMMANDS:
-        assert [side for kind, side in calls if kind == name] == [
-            "parent", "change", "change", "parent", "parent", "change"]
+    commands = [call for call in calls if call[0] != "import"]
+    sides = ["parent", "change", "change", "parent", "parent", "change"]
+    want = [(line.split()[0], side)
+            for lines in bench_record.AB_COMMANDS.values()
+            for side in sides for line in lines]
+    assert commands == want
+    for name, lines in bench_record.AB_COMMANDS.items():
         entry = section[name]
         assert entry["rounds"] == 3
-        assert entry["cpu_s"]["parent"]["median"] == 2.0
-        assert entry["cpu_s"]["change"]["median"] == 1.0
-        assert entry["wall_s"]["change"]["median"] == 1.5
+        assert entry["cpu_s"]["parent"]["median"] == 2.0 * len(lines)
+        assert entry["cpu_s"]["change"]["median"] == 1.0 * len(lines)
+        assert entry["wall_s"]["change"]["median"] == 1.5 * len(lines)
         assert entry["cpu_s"]["change_wins"] == 3
     assert section["import"]["rounds"] == 12
     assert section["import"]["change_wins"] == 12
     assert section["import"]["parent"]["runs"] == [0.2] * 12
+
+
+def test_in_process_ab_runs_every_workload(bench_record, monkeypatch):
+    # one real round per workload, this tree on both sides, with fewer
+    # targets and a smaller network than perfbench's; a call that exits 2
+    # (a bad argument or input file) would end the A/B
+    monkeypatch.setattr(bench_record, "import_seconds", lambda tree: 0.1)
+    monkeypatch.setattr(bench_record, "AB_ODD", ["101", "103", "105", "107"])
+    monkeypatch.setattr(bench_record, "AB_EVEN", ["100", "102"])
+    monkeypatch.setattr(bench_record, "AB_GNN", dict(bench_record.AB_GNN, hidden=8,
+                                                     rbf_n=4))
+    section = bench_record.in_process_ab({"parent": ROOT, "change": ROOT}, rounds=1)
+    assert set(section) == {"method", "import", "plan", "batch-plan", "plan-gnn", "train"}
+    assert section["train"]["command"].startswith("gen-data ")
+    assert "; train --config" in section["train"]["command"]
+    for name in bench_record.AB_COMMANDS:
+        for side in ("parent", "change"):
+            (cpu,) = section[name]["cpu_s"][side]["runs"]
+            assert cpu > 0.0
 
 
 def test_ab_rounds_add_the_section(bench_record, monkeypatch, tmp_path):

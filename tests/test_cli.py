@@ -338,7 +338,7 @@ class TestWorkflow:
         ("train", {"epochs": "1"}), ("plan", {"cost": "gnn", "lam": "0.5"}),
         ("plan", {"inventory_max": 0}),
         ("plan", {"cost": "gnn", "lam": math.nan}), ("plan", {"cost": "gnn", "lam": math.inf}),
-        ("plan", {"cost": "gnn", "lam": 10**400}),
+        ("plan", {"cost": "gnn", "lam": 10**400}), ("batch-plan", {"bits": 10**9}),
     ])
     def test_wrong_type_or_non_finite_config_values(self, workflow, tmp_path, capsys,
                                                      command, bad):

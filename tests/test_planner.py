@@ -5,12 +5,14 @@ route choices were worked out by hand; domain reachability is checked
 against an independent memoized recursion.
 """
 
+import gc
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from retrograph import planner
 from retrograph.costmodel import CostModel, ValueNetCost, ZeroCost
 from retrograph.molspace import (
     AdditiveSplitDomain,
@@ -117,6 +119,46 @@ class TestPlanBasics:
         dom = AdditiveSplitDomain(seed=0)
         res = plan(["6"], dom, Inventory.integer_range(3), PlanConfig(budget=10, k=5))
         assert [r.iteration for r in res.trace] == list(range(1, res.iterations + 1))
+
+
+@pytest.fixture()
+def collector(request):
+    """Sets the cyclic collector to the test's parameter (on by default)
+    and restores the state it found."""
+    was = gc.isenabled()
+    (gc.enable if getattr(request, "param", True) else gc.disable)()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollector:
+    @pytest.mark.parametrize("collector", [False], indirect=True)
+    def test_solved_plan_leaves_nothing_to_collect(self, collector):
+        # a reference cycle made during plan would be freed only here
+        dom, inv = AdditiveSplitDomain(seed=0), Inventory.integer_range(3)
+        gc.collect()
+        res = plan(["101"], dom, inv, PlanConfig())
+        assert res.all_success and res.iterations > 10
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("collector", [True, False], indirect=True)
+    def test_plan_leaves_the_collector_as_it_found_it(self, collector):
+        state, seen = gc.isenabled(), []
+
+        class Watched(AdditiveSplitDomain):
+            def candidates(self, product):
+                seen.append(gc.isenabled())
+                if product == "8":
+                    raise RuntimeError("boom")
+                return super().candidates(product)
+
+        inv = Inventory.integer_range(3)
+        assert plan(["7"], Watched(seed=0), inv, PlanConfig(budget=20, k=5)).all_success
+        assert gc.isenabled() == state
+        with pytest.raises(PlanningError, match="'8'"):
+            plan(["8"], Watched(seed=0), inv, PlanConfig(budget=20, k=5))
+        assert gc.isenabled() == state
+        assert seen and not any(seen)      # paused while the oracle ran
 
 
 class TestSelectionOrder:
@@ -410,6 +452,12 @@ class TestBatchPlan:
         with pytest.raises(ValueError):
             batch_plan([], AdditiveSplitDomain(), Inventory.integer_range(3),
                        PlanConfig())
+
+    def test_feature_size_bounded_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(planner, "features", None)   # never reached
+        with pytest.raises(ValueError, match="2 targets x 16777217 feature bits"):
+            batch_plan(["7", "9"], AdditiveSplitDomain(), Inventory.integer_range(3),
+                       PlanConfig(), bits=2**24 + 1)
 
 
 class TestResultSerialization:

@@ -312,7 +312,7 @@ class TestCycles:
 class TestPropagation:
     def test_success_flip_down_is_rejected(self):
         g, inv = build_fixture()
-        g.nodes[1].proof_cost = 1.0          # R1 cannot be proved yet
+        g.proof_cost[1] = 1.0                # R1 cannot be proved yet
         with pytest.raises(ContractViolation, match="rose"):
             g.propagate_update([1])
 
@@ -389,14 +389,26 @@ class TestInvariantChecker:
 
     def test_detects_open_node_with_successors(self):
         g, inv = build_fixture()
-        g.nodes[0].open = True
+        g.open[0] = True
         with pytest.raises(ContractViolation, match="successors"):
             g.check_invariants()
 
     def test_detects_stale_open_index(self):
         g, inv = build_fixture()
-        g.nodes[2].open = False              # closed without the index knowing
+        g.open[2] = False                    # closed without the index knowing
         with pytest.raises(ContractViolation, match="open-node index"):
+            g.check_invariants()
+
+    def test_detects_expanded_inventory_node(self):
+        g, inv = build_fixture()
+        g.in_inventory[0] = True             # T has reactions
+        with pytest.raises(ContractViolation, match="inventory node 0 was expanded"):
+            g.check_invariants()
+
+    def test_detects_stale_memory(self):
+        g, inv = build_fixture()
+        g.memory["Z"] = 0
+        with pytest.raises(ContractViolation, match="memory out of sync"):
             g.check_invariants()
 
     def test_detects_stale_counters(self):
@@ -448,6 +460,17 @@ class TestInvariantChecker:
         with pytest.raises(ContractViolation, match="reaction node 4 has no reactants"):
             g.check_invariants()
 
+    def test_nodes_view_is_read_only(self):
+        g, inv = build_fixture()
+        assert len(g.nodes) == 6 and g.nodes[-1] == g.nodes[5]
+        assert g.nodes[0] == (0, "molecule", "T", 0.0, 0.0, 3.0, True, False, False)
+        assert g.nodes[4].kind == "reaction" and g.nodes[4].reaction_cost == 3.0
+        with pytest.raises(AttributeError):
+            g.nodes[0].open = True
+        with pytest.raises(IndexError):
+            g.nodes[6]
+        assert [n.id for n in g.nodes] == list(range(6))
+
     def test_open_nodes_returns_a_copy(self):
         g, inv = build_fixture()
         g.open_nodes().clear()
@@ -478,7 +501,7 @@ class TestSnapshots:
 
     def test_nonfinite_hist_rejected(self):
         g, inv = build_fixture()
-        g.nodes[2].hist_cost = INF
+        g.hist_cost[2] = INF
         with pytest.raises(ContractViolation):
             g.snapshot()
 

@@ -19,8 +19,9 @@ spread between processes is wider than their bound. Import time: each of
 4N rounds runs ``python -c "import retrograph.cli"`` from one side's
 ``src/`` and then the other's, the first side flipped every round. CLI CPU:
 both sides' packages are imported into this process, and each of N rounds
-calls each copy's ``cli.main`` on the plan-single and plan-batch inputs
-(``plan`` and ``batch-plan``), the first side flipped every round.
+calls each copy's ``cli.main`` on the inputs of perfbench's four workloads
+(``plan``, ``batch-plan``, ``plan --cost gnn``, and ``gen-data`` then
+``train``), the first side flipped every round.
 
 Each end-to-end metric gets a ``"verdict"`` from its ``BENCHMARK.json``
 bound: ``worse`` when the change median is worse than the parent median by
@@ -173,13 +174,46 @@ def load_cli(tree: Path):
     return cli
 
 
-# plan-single's and plan-batch's inputs (perfbench/workloads.py)
-AB_TARGETS = [str(n) for n in range(101, 300, 2)]
+# perfbench/workloads.py's inputs: plan-single's and plan-batch's odd targets,
+# plan-gnn's first six of them priced by a seeded, untrained network of the
+# acceptance size, and train's first seven even targets
+AB_ODD = [str(n) for n in range(101, 300, 2)]
+AB_EVEN = [str(n) for n in range(100, 114, 2)]
+AB_GNN = {"hidden": 256, "rbf_n": 32, "layers": 2, "drop_rate": 0.0, "margin": 4.0}
+AB_GNN_BITS = 256
+# each workload's CLI calls, run in order; {in} is the input directory and
+# {out} the side's output directory
 AB_COMMANDS = {
-    "plan": ["plan", "--budget", "100", "--k", "50"],
-    "batch-plan": ["batch-plan", "--budget", "100", "--k", "50", "--batch-size", "8",
-                   "--clusters", "4"],
+    "plan": ["plan --budget 100 --k 50 --targets {in}/odd.txt --out {out}"],
+    "batch-plan": ["batch-plan --budget 100 --k 50 --batch-size 8 --clusters 4 "
+                   "--targets {in}/odd.txt --config {in}/bits.json --out {out}"],
+    "plan-gnn": ["plan --budget 50 --k 6 --targets {in}/gnn.txt --config {in}/gnn.json "
+                 "--out {out}"],
+    "train": ["gen-data --budget 120 --k 6 --targets {in}/even.txt --config {in}/gen.json "
+              "--out {out}/data",
+              "train --config {in}/train.json --targets {out}/data/dataset.jsonl "
+              "--out {out}/model"],
 }
+
+
+def write_ab_inputs(work: Path, cli) -> None:
+    """The files ``AB_COMMANDS`` read, under *work*; *cli*'s package saves
+    the checkpoint."""
+    def write(name: str, text: str) -> None:
+        (work / name).write_text(text, encoding="utf-8")
+
+    lines = lambda targets: "".join(t + "\n" for t in targets)
+    write("odd.txt", lines(AB_ODD))
+    write("gnn.txt", lines(AB_ODD[:6]))
+    write("even.txt", lines(AB_EVEN))
+    write("bits.json", json.dumps({"bits": 2048}))
+    write("gnn.json", json.dumps({"cost": "gnn", "checkpoint": str(work / "gnn.bin"),
+                                  "lam": 0.5}))
+    write("gen.json", json.dumps({"full_k": True}))
+    write("train.json", json.dumps(dict(AB_GNN, bits=AB_GNN_BITS, epochs=2, train_batch=32,
+                                        val_n=16, lr=1e-4)))
+    hyper = cli.policygnn.GnnHyper(feature_bits=AB_GNN_BITS, **AB_GNN)
+    cli.policygnn.GnnParameters(hyper, seed=0).save(work / "gnn.bin")
 
 
 def cli_seconds(cli, argv: list[str]) -> tuple[float, float]:
@@ -194,8 +228,9 @@ def cli_seconds(cli, argv: list[str]) -> tuple[float, float]:
 
 def in_process_ab(trees: dict[str, Path], rounds: int) -> dict:
     """The ``in_process_ab`` section: import seconds over 4 * *rounds*
-    rounds, and CPU and wall seconds of each command in ``AB_COMMANDS``
-    over *rounds* rounds; the side that goes first flips every round."""
+    rounds, and CPU and wall seconds of each workload in ``AB_COMMANDS``
+    (the sum over its calls) over *rounds* rounds; the side that goes first
+    flips every round."""
     orders = [("parent", "change"), ("change", "parent")]
     imports: dict[str, list[float]] = {"parent": [], "change": []}
     for side in trees:   # warm the bytecode caches
@@ -205,30 +240,34 @@ def in_process_ab(trees: dict[str, Path], rounds: int) -> dict:
             imports[side].append(import_seconds(trees[side]))
     section = {
         "method": ("import: a fresh interpreter runs `import retrograph.cli` from each "
-                   "side's src/, bytecode caches warmed first. Commands: both sides' "
+                   "side's src/, bytecode caches warmed first. Workloads: both sides' "
                    "packages imported into one process, each copy's cli.main called "
-                   "in turn; times are per call. The side that goes first flips every "
-                   "round. Written by tools/bench_record.py --ab-rounds."),
+                   "in turn on perfbench's inputs (additive-split, seed 0; the parent's "
+                   "package saves plan-gnn's checkpoint); times are per workload. The "
+                   "side that goes first flips every round. Written by "
+                   "tools/bench_record.py --ab-rounds."),
         "import": dict(compare(imports["parent"], imports["change"], "lower"),
                        command="python -c 'import retrograph.cli'", rounds=4 * rounds),
     }
     clis = {side: load_cli(tree) for side, tree in trees.items()}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
-        (work / "targets.txt").write_text("".join(t + "\n" for t in AB_TARGETS),
-                                          encoding="utf-8")
-        (work / "config.json").write_text('{"bits": 2048}\n', encoding="utf-8")
-        for name, args in AB_COMMANDS.items():
-            argv = args + ["--domain", "additive-split", "--seed", "0", "--targets",
-                           str(work / "targets.txt"), "--config", str(work / "config.json")]
+        write_ab_inputs(work, clis["parent"])
+        for name, calls in AB_COMMANDS.items():
             times = {side: {"cpu": [], "wall": []} for side in trees}
             for i in range(rounds):
                 for side in orders[i % 2]:
-                    cpu, wall = cli_seconds(clis[side], argv + ["--out", str(work / side)])
+                    cpu = wall = 0.0
+                    for call in calls:
+                        argv = [w.replace("{in}", str(work)).replace("{out}", str(work / side))
+                                for w in call.split()] + ["--domain", "additive-split",
+                                                          "--seed", "0"]
+                        c, w = cli_seconds(clis[side], argv)
+                        cpu, wall = cpu + c, wall + w
                     times[side]["cpu"].append(cpu)
                     times[side]["wall"].append(wall)
             section[name] = {
-                "command": " ".join(argv[:1] + args[1:]) + ", plan-single's targets",
+                "command": "; ".join(calls),
                 "rounds": rounds,
                 "cpu_s": compare(times["parent"]["cpu"], times["change"]["cpu"], "lower"),
                 "wall_s": compare(times["parent"]["wall"], times["change"]["wall"], "lower"),
