@@ -186,7 +186,7 @@ class SearchGraph:
                     fell[mid] = None
                 unproved = unproved or proof_cost[mid] == INF
             if not unproved:
-                proof_cost[rid] = rxn.cost + sum(proof_cost[c] for c in kids)
+                proof_cost[rid] = rxn.cost + sum(map(proof_cost.__getitem__, kids))
                 proved = True
         lowered = self.propagate_update([m for m in fell if succ[m]], [v] if proved else [])
         fell.update(dict.fromkeys(m for m in lowered if mols[m] is not None))
@@ -197,10 +197,10 @@ class SearchGraph:
     def _local_proof_cost(self, nid: NodeId) -> float:
         proof = self.proof_cost
         if self.molecule[nid] is None:
-            return self.reaction_cost[nid] + sum(proof[c] for c in self.succ[nid])
+            return self.reaction_cost[nid] + sum(map(proof.__getitem__, self.succ[nid]))
         if self.in_inventory[nid]:
             return 0.0
-        return min((proof[r] for r in self.succ[nid]), default=INF)
+        return min(map(proof.__getitem__, self.succ[nid]), default=INF)
 
     def propagate_update(self, affected: Iterable[NodeId],
                          proof_seeds: Iterable[NodeId] | None = None) -> list[NodeId]:
