@@ -6,6 +6,7 @@ to the last stored digit.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,6 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def bench_record(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import bench_record
+    for name, value in bench_record.BLAS_ENV.items():   # main() sets them
+        monkeypatch.setenv(name, value)
     yield bench_record
     sys.modules.pop("bench_record", None)
 
@@ -168,9 +171,12 @@ def test_ab_rounds_add_the_section(bench_record, monkeypatch, tmp_path):
     monkeypatch.setattr(bench_record, "checkout",
                         lambda rev, dest: (dest / "src").mkdir(parents=True, exist_ok=True))
     monkeypatch.setattr(bench_record, "in_process_ab", lambda trees, rounds: {"rounds": rounds})
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     out = tmp_path / "ab.json"
     assert bench_record.main(["--parent", "p", "--change", "c", "--what", "w",
                               "--trace-seed", "9", "--ab-rounds", "4", "--out", str(out),
                               "--work", str(tmp_path / "work")]) == 0
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["workloads"] == {} and record["in_process_ab"] == {"rounds": 4}
+    # the A/B runs with perfbench's one BLAS thread
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"

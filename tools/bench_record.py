@@ -44,9 +44,10 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy
-
 ROOT = Path(__file__).resolve().parent.parent
+# perfbench's BLAS settings, for the interpreters started here and for the
+# in-process A/B; they take effect only before numpy is first imported
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def git(*args: str) -> str:
@@ -148,7 +149,7 @@ def record_workload(trees: dict[str, Path], name: str, pairs: int, first_seed: i
 
 def import_seconds(tree: Path) -> float:
     """Wall seconds of a fresh interpreter importing *tree*'s ``retrograph.cli``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **BLAS_ENV)
     t0 = time.perf_counter()
     subprocess.run([sys.executable, "-c", "import retrograph.cli"], cwd=tree, env=env,
                    check=True, stdout=subprocess.DEVNULL)
@@ -291,6 +292,9 @@ def cpu_name() -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    os.environ.update(BLAS_ENV)
+    import numpy
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")
