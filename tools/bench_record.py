@@ -259,12 +259,13 @@ def in_process_ab(trees: dict[str, Path], rounds: int) -> dict:
             for i in range(rounds):
                 for side in orders[i % 2]:
                     cpu = wall = 0.0
+                    out = str(work / side)
                     for call in calls:
-                        argv = [w.replace("{in}", str(work)).replace("{out}", str(work / side))
-                                for w in call.split()] + ["--domain", "additive-split",
-                                                          "--seed", "0"]
-                        c, w = cli_seconds(clis[side], argv)
-                        cpu, wall = cpu + c, wall + w
+                        argv = [word.replace("{in}", str(work)).replace("{out}", out)
+                                for word in call.split()]
+                        argv += ["--domain", "additive-split", "--seed", "0"]
+                        call_cpu, call_wall = cli_seconds(clis[side], argv)
+                        cpu, wall = cpu + call_cpu, wall + call_wall
                     times[side]["cpu"].append(cpu)
                     times[side]["wall"].append(wall)
             section[name] = {
