@@ -257,6 +257,9 @@ def cmd_train(cfg: RunConfig) -> int:
                                  lr=cfg.lr)
     except ValueError as exc:
         raise ConfigError(f"cannot train: {exc}") from exc
+    except FloatingPointError as exc:
+        # the settings drove training to overflow; no internal check failed
+        raise ConfigError(f"training diverged: {exc}") from exc
     out = _outdir(cfg)
     result.params.save(out / "gnn.bin")
     metrics.write_csv(out / "train_log.csv", ["epoch", "bce", "rank", "total", "val_rank"],

@@ -63,9 +63,6 @@ class RouteTree:
     molecule: MoleculeId
     reaction: RouteReaction | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "RouteTree":
         rxn = d.get("reaction")
@@ -214,7 +211,7 @@ def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
         while not graph.all_targets_successful() and iterations < cfg.budget:
             while heap and not (graph.open[heap[0][1]] and heap[0][0] == price(heap[0][1])):
                 heapq.heappop(heap)
-            if not (heap if heuristic else graph.open_nodes()):
+            if not (heap if heuristic else any(graph.open)):
                 break
             v = heapq.heappop(heap)[1] if heuristic else select_next(graph, cost_model)
             molecule = mols[v]

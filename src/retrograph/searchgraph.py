@@ -93,10 +93,7 @@ class SearchGraph:
         self.pred: list[list[NodeId]] = []
         self.targets: list[NodeId] = []
         self.memory: dict[MoleculeId, NodeId] = {}
-        # kept beside the open flags so that queries need not scan them
-        self._open: set[NodeId] = set()
         self._molecules = 0
-        self._reactions = 0
 
     @property
     def nodes(self) -> NodeView:
@@ -117,8 +114,6 @@ class SearchGraph:
         self.succ.append([])
         self.pred.append([])
         self._molecules += 1
-        if not in_inv:
-            self._open.add(nid)
         if self.dedup:
             self.memory[molecule] = nid
         return nid
@@ -155,7 +150,6 @@ class SearchGraph:
         if not math.isfinite(hist_cost[v]):
             raise ContractViolation(f"node {v} has no finite historical cost")
         self.open[v] = False
-        self._open.discard(v)
         succ, pred, memory = self.succ, self.pred, self.memory
         rcosts, is_open, in_inv = self.reaction_cost, self.open, self.in_inventory
         molecule, base, out = mols[v], hist_cost[v], succ[v]
@@ -174,7 +168,6 @@ class SearchGraph:
             succ.append(kids)
             pred.append([v])
             out.append(rid)
-            self._reactions += 1
             for mol in rxn.reactants:
                 mid = memory.get(mol)   # the memory stays empty in tree mode
                 if mid is None:
@@ -284,13 +277,13 @@ class SearchGraph:
     # -- queries ------------------------------------------------------------
 
     def open_nodes(self) -> set[NodeId]:
-        return set(self._open)
+        return set(compress(range(len(self.open)), self.open))
 
     def molecule_count(self) -> int:
         return self._molecules
 
     def reaction_count(self) -> int:
-        return self._reactions
+        return len(self.succ) - self._molecules
 
     def all_targets_successful(self) -> bool:
         return all(self.proof_cost[t] < INF for t in self.targets)
@@ -334,10 +327,8 @@ class SearchGraph:
                 raise ContractViolation(
                     f"molecule {mol!r} duplicated at nodes {seen[mol]} and {i}")
             seen[mol] = i
-        if set(compress(range(n), self.open)) != self._open:
-            raise ContractViolation("open-node index out of sync with node table")
         molecules = n - int(is_rxn.sum())
-        if (self._molecules, self._reactions) != (molecules, n - molecules):
+        if self._molecules != molecules:
             raise ContractViolation("node counters out of sync with node table")
         if self.dedup and len(self.memory) != molecules:
             raise ContractViolation("molecule memory out of sync with node table")
@@ -372,7 +363,3 @@ class SearchGraph:
 def snapshot_to_json(snap: dict) -> str:
     """Canonical text encoding of a snapshot (bit-exact round trip)."""
     return json.dumps(snap, sort_keys=True, separators=(",", ":"))
-
-
-def snapshot_from_json(text: str) -> dict:
-    return json.loads(text)

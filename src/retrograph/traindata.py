@@ -22,7 +22,7 @@ import numpy as np
 
 from .molspace import ExpansionOracle, Inventory, Reaction
 from .planner import PlanConfig, PlanningError, RouteTree, plan
-from .searchgraph import INF, SearchGraph, snapshot_from_json, snapshot_to_json
+from .searchgraph import INF, SearchGraph, snapshot_to_json
 
 log = logging.getLogger(__name__)
 
@@ -184,7 +184,7 @@ def load_dataset(path: str | Path) -> list[TrainingExample]:
     for lineno, line in enumerate(lines[1:], 2):
         if line.strip():
             try:
-                examples.append(TrainingExample.from_record(snapshot_from_json(line)))
+                examples.append(TrainingExample.from_record(json.loads(line)))
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
     return examples

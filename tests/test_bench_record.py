@@ -121,9 +121,12 @@ def test_in_process_ab_alternates_and_summarizes(bench_record, monkeypatch, tmp_
         calls.append((argv[0], cli))
         return seconds[cli], seconds[cli] + 0.5
 
+    workloads = {"one": ["plan"], "two": ["gen-data", "train"]}
     monkeypatch.setattr(bench_record, "import_seconds", fake_import)
     monkeypatch.setattr(bench_record, "load_cli", lambda tree: side_of[tree])
-    monkeypatch.setattr(bench_record, "write_ab_inputs", lambda work, cli: None)
+    monkeypatch.setattr(bench_record, "ab_commands", lambda tree, work, sides: {
+        name: {side: [[command] for command in lines] for side in sides}
+        for name, lines in workloads.items()})
     monkeypatch.setattr(bench_record, "cli_seconds", fake_cli_seconds)
     section = bench_record.in_process_ab(
         {"parent": tmp_path / "p", "change": tmp_path / "c"}, rounds=3)
@@ -131,11 +134,11 @@ def test_in_process_ab_alternates_and_summarizes(bench_record, monkeypatch, tmp_
     assert imports == ["parent", "change", "change", "parent"] * 6
     commands = [call for call in calls if call[0] != "import"]
     sides = ["parent", "change", "change", "parent", "parent", "change"]
-    want = [(line.split()[0], side)
-            for lines in bench_record.AB_COMMANDS.values()
+    want = [(line, side) for lines in workloads.values()
             for side in sides for line in lines]
     assert commands == want
-    for name, lines in bench_record.AB_COMMANDS.items():
+    assert section["two"]["command"] == "gen-data; train"
+    for name, lines in workloads.items():
         entry = section[name]
         assert entry["rounds"] == 3
         assert entry["cpu_s"]["parent"]["median"] == 2.0 * len(lines)
@@ -148,19 +151,29 @@ def test_in_process_ab_alternates_and_summarizes(bench_record, monkeypatch, tmp_
 
 
 def test_in_process_ab_runs_every_workload(bench_record, monkeypatch):
-    # one real round per workload, this tree on both sides, with fewer
-    # targets and a smaller network than perfbench's; a call that exits 2
-    # (a bad argument or input file) would end the A/B
+    # one real round of each perfbench workload, this tree on both sides,
+    # with fewer targets and a smaller network than perfbench's (changed on
+    # the recorder's own copy of perfbench/workloads.py); a call that exits
+    # 2 (a bad argument or input file) would end the A/B
+    load_workloads = bench_record.load_workloads
+
+    def shrunk(tree):
+        workloads = load_workloads(tree)
+        for name in ("plan-single", "plan-batch", "plan-gnn"):
+            workloads.WORKLOADS[name].targets = ["101", "103", "105", "107"]
+        workloads.TRAIN_TARGETS = ["100", "102"]
+        workloads.GNN_SIZE = dict(workloads.GNN_SIZE, hidden=8, rbf_n=4)
+        return workloads
+
     monkeypatch.setattr(bench_record, "import_seconds", lambda tree: 0.1)
-    monkeypatch.setattr(bench_record, "AB_ODD", ["101", "103", "105", "107"])
-    monkeypatch.setattr(bench_record, "AB_EVEN", ["100", "102"])
-    monkeypatch.setattr(bench_record, "AB_GNN", dict(bench_record.AB_GNN, hidden=8,
-                                                     rbf_n=4))
+    monkeypatch.setattr(bench_record, "load_workloads", shrunk)
     section = bench_record.in_process_ab({"parent": ROOT, "change": ROOT}, rounds=1)
-    assert set(section) == {"method", "import", "plan", "batch-plan", "plan-gnn", "train"}
+    names = ["plan-single", "plan-batch", "plan-gnn", "train"]
+    assert list(section) == ["method", "import"] + names
+    assert section["plan-batch"]["command"].startswith("batch-plan ")
     assert section["train"]["command"].startswith("gen-data ")
-    assert "; train --config" in section["train"]["command"]
-    for name in bench_record.AB_COMMANDS:
+    assert "; train --config WORK/inputs/train/train.json" in section["train"]["command"]
+    for name in names:
         for side in ("parent", "change"):
             (cpu,) = section[name]["cpu_s"][side]["runs"]
             assert cpu > 0.0

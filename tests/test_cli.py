@@ -320,6 +320,7 @@ class TestWorkflow:
         {"lr": math.nan}, {"lr": math.inf}, {"margin": math.nan}, {"layers": 0},
         {"lr": 10**400}, {"margin": 10**400}, {"hidden": 10**400}, {"hidden": 10**9},
         {"rbf_n": 10**9}, {"bits": 10**9}, {"layers": 10**9},
+        {"lr": 1e308}, {"margin": 1e308},
     ])
     def test_bad_training_values_are_config_errors(self, workflow, tmp_path, capsys,
                                                    bad):

@@ -98,6 +98,13 @@ class TestPlanBasics:
         assert not res.all_success
         assert res.iterations == 1          # expand 97, then nothing is open
 
+    def test_dead_end_stops_the_scan_path(self):
+        # a model without heuristic is priced by select_next, which must not
+        # be called once the frontier is empty
+        res = plan(["97"], FactorSplitDomain(seed=0), Inventory.integer_range(3),
+                   PlanConfig(budget=50, k=10), ScanOnly(ZeroCost()))
+        assert not res.all_success and res.iterations == 1
+
     def test_duplicate_and_noncanonical_targets_merge(self):
         dom = AdditiveSplitDomain(seed=0)
         res = plan(["4", "04", " 4 "], dom, Inventory.integer_range(3),

@@ -19,9 +19,10 @@ spread between processes is wider than their bound. Import time: each of
 4N rounds runs ``python -c "import retrograph.cli"`` from one side's
 ``src/`` and then the other's, the first side flipped every round. CLI CPU:
 both sides' packages are imported into this process, and each of N rounds
-calls each copy's ``cli.main`` on the inputs of perfbench's four workloads
-(``plan``, ``batch-plan``, ``plan --cost gnn``, and ``gen-data`` then
-``train``), the first side flipped every round.
+calls each copy's ``cli.main`` on the command lines of perfbench's four
+workloads, the first side flipped every round. The parent's
+``perfbench/workloads.py`` supplies those command lines and writes their
+inputs, so the A/B runs what perfbench runs.
 
 Each end-to-end metric gets a ``"verdict"`` from its ``BENCHMARK.json``
 bound: ``worse`` when the change median is worse than the parent median by
@@ -33,9 +34,12 @@ median exceeds the bound and not every change run beats every parent run
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import json
 import os
 import platform
+import random
 import shutil
 import statistics
 import subprocess
@@ -156,65 +160,58 @@ def import_seconds(tree: Path) -> float:
     return time.perf_counter() - t0
 
 
-def load_cli(tree: Path):
-    """*tree*'s ``retrograph.cli``, imported under module objects of its own,
-    so that another tree's copy can be imported beside it. The ``retrograph``
-    modules loaded before the call are loaded again after it."""
+@contextlib.contextmanager
+def own_modules(path: Path, *tops: str):
+    """Imports in the block come from *path*, under module objects of their
+    own, so that another copy can be imported beside them. The modules under
+    the top-level names *tops* loaded before the block are loaded again
+    after it."""
     def take() -> dict:
         return {n: sys.modules.pop(n) for n in list(sys.modules)
-                if n.split(".")[0] == "retrograph"}
+                if n.split(".")[0] in tops}
 
     before = take()
-    sys.path.insert(0, str(tree / "src"))
+    sys.path.insert(0, str(path))
     try:
-        import retrograph.cli as cli
+        yield
     finally:
-        sys.path.remove(str(tree / "src"))
+        sys.path.remove(str(path))
         take()
         sys.modules.update(before)
-    return cli
 
 
-# perfbench/workloads.py's inputs: plan-single's and plan-batch's odd targets,
-# plan-gnn's first six of them priced by a seeded, untrained network of the
-# acceptance size, and train's first seven even targets
-AB_ODD = [str(n) for n in range(101, 300, 2)]
-AB_EVEN = [str(n) for n in range(100, 114, 2)]
-AB_GNN = {"hidden": 256, "rbf_n": 32, "layers": 2, "drop_rate": 0.0, "margin": 4.0}
-AB_GNN_BITS = 256
-# each workload's CLI calls, run in order; {in} is the input directory and
-# {out} the side's output directory
-AB_COMMANDS = {
-    "plan": ["plan --budget 100 --k 50 --targets {in}/odd.txt --out {out}"],
-    "batch-plan": ["batch-plan --budget 100 --k 50 --batch-size 8 --clusters 4 "
-                   "--targets {in}/odd.txt --config {in}/bits.json --out {out}"],
-    "plan-gnn": ["plan --budget 50 --k 6 --targets {in}/gnn.txt --config {in}/gnn.json "
-                 "--out {out}"],
-    "train": ["gen-data --budget 120 --k 6 --targets {in}/even.txt --config {in}/gen.json "
-              "--out {out}/data",
-              "train --config {in}/train.json --targets {out}/data/dataset.jsonl "
-              "--out {out}/model"],
-}
+def load_cli(tree: Path):
+    """*tree*'s ``retrograph.cli``, under module objects of its own."""
+    with own_modules(tree / "src", "retrograph"):
+        return importlib.import_module("retrograph.cli")
 
 
-def write_ab_inputs(work: Path, cli) -> None:
-    """The files ``AB_COMMANDS`` read, under *work*; *cli*'s package saves
-    the checkpoint."""
-    def write(name: str, text: str) -> None:
-        (work / name).write_text(text, encoding="utf-8")
+def load_workloads(tree: Path):
+    """*tree*'s ``perfbench/workloads.py``, under module objects of its own."""
+    with own_modules(tree / "perfbench", "workloads", "checks"):
+        return importlib.import_module("workloads")
 
-    lines = lambda targets: "".join(t + "\n" for t in targets)
-    write("odd.txt", lines(AB_ODD))
-    write("gnn.txt", lines(AB_ODD[:6]))
-    write("even.txt", lines(AB_EVEN))
-    write("bits.json", json.dumps({"bits": 2048}))
-    write("gnn.json", json.dumps({"cost": "gnn", "checkpoint": str(work / "gnn.bin"),
-                                  "lam": 0.5}))
-    write("gen.json", json.dumps({"full_k": True}))
-    write("train.json", json.dumps(dict(AB_GNN, bits=AB_GNN_BITS, epochs=2, train_batch=32,
-                                        val_n=16, lr=1e-4)))
-    hyper = cli.policygnn.GnnHyper(feature_bits=AB_GNN_BITS, **AB_GNN)
-    cli.policygnn.GnnParameters(hyper, seed=0).save(work / "gnn.bin")
+
+# perfbench's --seed for the A/B's inputs; it changes only their target
+# order and spelling
+AB_SEED = 0
+
+
+def ab_commands(tree: Path, work: Path, sides) -> dict[str, dict[str, list[list[str]]]]:
+    """The argv of each perfbench workload's CLI calls, in order, keyed by
+    workload name and then side. *tree*'s perfbench writes the inputs under
+    *work* as ``perfbench/run.py --seed AB_SEED`` would, with *tree*'s
+    package importable to save plan-gnn's checkpoint; each side's outputs
+    go under ``work/side``."""
+    workloads = load_workloads(tree)
+    calls = {}
+    with own_modules(tree / "src", "retrograph"):
+        for name, workload in workloads.WORKLOADS.items():
+            inputs = workload.prepare(work / "inputs" / name, random.Random(AB_SEED))
+            calls[name] = {side: [c.argv for c in workload.commands(inputs,
+                                                                    work / side / name)]
+                           for side in sides}
+    return calls
 
 
 def cli_seconds(cli, argv: list[str]) -> tuple[float, float]:
@@ -229,9 +226,9 @@ def cli_seconds(cli, argv: list[str]) -> tuple[float, float]:
 
 def in_process_ab(trees: dict[str, Path], rounds: int) -> dict:
     """The ``in_process_ab`` section: import seconds over 4 * *rounds*
-    rounds, and CPU and wall seconds of each workload in ``AB_COMMANDS``
-    (the sum over its calls) over *rounds* rounds; the side that goes first
-    flips every round."""
+    rounds, and CPU and wall seconds of each perfbench workload (the sum
+    over its calls, from :func:`ab_commands`) over *rounds* rounds; the side
+    that goes first flips every round."""
     orders = [("parent", "change"), ("change", "parent")]
     imports: dict[str, list[float]] = {"parent": [], "change": []}
     for side in trees:   # warm the bytecode caches
@@ -243,33 +240,31 @@ def in_process_ab(trees: dict[str, Path], rounds: int) -> dict:
         "method": ("import: a fresh interpreter runs `import retrograph.cli` from each "
                    "side's src/, bytecode caches warmed first. Workloads: both sides' "
                    "packages imported into one process, each copy's cli.main called "
-                   "in turn on perfbench's inputs (additive-split, seed 0; the parent's "
-                   "package saves plan-gnn's checkpoint); times are per workload. The "
-                   "side that goes first flips every round. Written by "
-                   "tools/bench_record.py --ab-rounds."),
+                   "in turn on the command lines of the parent's "
+                   "perfbench/workloads.py, whose prepare writes the inputs (seed "
+                   f"{AB_SEED}; the parent's package saves plan-gnn's checkpoint); times "
+                   "are per workload, WORK is the temporary directory. The side that "
+                   "goes first flips every round. Written by tools/bench_record.py "
+                   "--ab-rounds."),
         "import": dict(compare(imports["parent"], imports["change"], "lower"),
                        command="python -c 'import retrograph.cli'", rounds=4 * rounds),
     }
     clis = {side: load_cli(tree) for side, tree in trees.items()}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         work = Path(tmp)
-        write_ab_inputs(work, clis["parent"])
-        for name, calls in AB_COMMANDS.items():
+        for name, calls in ab_commands(trees["parent"], work, list(trees)).items():
             times = {side: {"cpu": [], "wall": []} for side in trees}
             for i in range(rounds):
                 for side in orders[i % 2]:
                     cpu = wall = 0.0
-                    out = str(work / side)
-                    for call in calls:
-                        argv = [word.replace("{in}", str(work)).replace("{out}", out)
-                                for word in call.split()]
-                        argv += ["--domain", "additive-split", "--seed", "0"]
+                    for argv in calls[side]:
                         call_cpu, call_wall = cli_seconds(clis[side], argv)
                         cpu, wall = cpu + call_cpu, wall + call_wall
                     times[side]["cpu"].append(cpu)
                     times[side]["wall"].append(wall)
             section[name] = {
-                "command": "; ".join(calls),
+                "command": "; ".join(" ".join(argv).replace(str(work), "WORK")
+                                     for argv in calls["parent"]),
                 "rounds": rounds,
                 "cpu_s": compare(times["parent"]["cpu"], times["change"]["cpu"], "lower"),
                 "wall_s": compare(times["parent"]["wall"], times["change"]["wall"], "lower"),
