@@ -92,18 +92,14 @@ class TestPlanBasics:
         assert t.first_success_iteration is None and t.route is None
 
     def test_dead_end_stops_early(self):
+        # expand 97, then nothing is open; a model without heuristic goes
+        # through select_next, which must not be called on an empty frontier
         dom = FactorSplitDomain(seed=0)
-        res = plan(["97"], dom, Inventory.integer_range(3),
-                   PlanConfig(budget=50, k=10))
-        assert not res.all_success
-        assert res.iterations == 1          # expand 97, then nothing is open
-
-    def test_dead_end_stops_the_scan_path(self):
-        # a model without heuristic is priced by select_next, which must not
-        # be called once the frontier is empty
-        res = plan(["97"], FactorSplitDomain(seed=0), Inventory.integer_range(3),
-                   PlanConfig(budget=50, k=10), ScanOnly(ZeroCost()))
-        assert not res.all_success and res.iterations == 1
+        for model in (None, ScanOnly(ZeroCost())):
+            res = plan(["97"], dom, Inventory.integer_range(3),
+                       PlanConfig(budget=50, k=10), model)
+            assert not res.all_success
+            assert res.iterations == 1
 
     def test_duplicate_and_noncanonical_targets_merge(self):
         dom = AdditiveSplitDomain(seed=0)
