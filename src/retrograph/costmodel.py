@@ -24,7 +24,8 @@ VARIANTS = ("zero", "value_net", "gnn")
 class CostModel:
     """Interface: the heuristic h of each open molecule node. The planner
     adds the node's historical cost; the lower sum expands first. A model whose
-    h depends on the molecule alone has ``heuristic(molecule)``, which plan uses."""
+    h depends on the molecule alone has ``heuristic(molecule)``, which
+    select_next prices through a heap; any other is priced by open_costs."""
 
     def open_costs(self, graph: SearchGraph) -> dict[NodeId, float]:
         """h for every open molecule node of the graph."""

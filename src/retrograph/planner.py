@@ -1,8 +1,8 @@
 """Planning loop over the AND-OR search graph.
 
-Each iteration prices every open molecule node at its historical cost plus
-the active cost model's heuristic h, selects the cheapest, expands it
-through the oracle, and merges the reactions into the graph, which brings
+Each iteration takes from select_next the open molecule node whose
+historical cost plus the active cost model's heuristic h is lowest, expands
+it through the oracle, and merges the reactions into the graph, which brings
 proof and historical costs back to fixpoint. The loop stops when the budget
 is spent, every target is proved, or nothing is left to expand. Batch
 planning clusters targets by feature similarity and plans each batch in one
@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 import heapq
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -167,15 +167,28 @@ class PlanResult:
                    reaction_nodes=totals["reaction_nodes"], mode=d["mode"])
 
 
-def select_next(graph: SearchGraph, cost_model: CostModel) -> NodeId:
+def select_next(graph: SearchGraph, cost_model: CostModel, heap: list,
+                fell: Iterable[NodeId]) -> NodeId | None:
     """Open molecule node with the lowest price hist_cost + h, where the
-    cost model supplies h; ties break toward the lowest node id. Calling
-    this with no open nodes is a contract error."""
-    h = cost_model.open_costs(graph)
-    if not h:
-        raise ContractViolation("select_next called with no open nodes")
-    hist = graph.hist_cost
-    return min(h, key=lambda v: (hist[v] + h[v], v))
+    cost model supplies h; ties break toward the lowest node id; None when
+    nothing is open. A model with ``heuristic(molecule)`` prices through the
+    caller's lazy-deletion *heap* of (price, id), which takes the open nodes
+    of *fell*: those new or cheaper since the last call. Any other model
+    prices every open node through ``open_costs``."""
+    hist, is_open = graph.hist_cost, graph.open
+    heuristic = getattr(cost_model, "heuristic", None)
+    if heuristic is None:
+        if not any(is_open):
+            return None
+        h = cost_model.open_costs(graph)
+        return min(h, key=lambda v: (hist[v] + h[v], v))
+    price = lambda v: hist[v] + heuristic(graph.molecule[v])
+    for m in fell:
+        if is_open[m]:
+            heapq.heappush(heap, (price(m), m))
+    while heap and not (is_open[heap[0][1]] and heap[0][0] == price(heap[0][1])):
+        heapq.heappop(heap)
+    return heapq.heappop(heap)[1] if heap else None
 
 
 def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
@@ -184,9 +197,8 @@ def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
 
     Targets are canonicalized and deduplicated up front. The loop keeps
     running until every target is proved, so later targets still benefit
-    from expansions made after earlier ones succeed. A cost model with a
-    ``heuristic(molecule)`` prices through a lazy-deletion heap, keyed as in
-    :func:`select_next`, that takes the open nodes an expansion made cheaper.
+    from expansions made after earlier ones succeed. Every pick is
+    :func:`select_next`'s, fed the open nodes each expansion made cheaper.
     """
     if not targets:
         raise ValueError("plan needs at least one target")
@@ -200,28 +212,21 @@ def plan(targets: list[str], oracle: ExpansionOracle, inventory: Inventory,
         canon = oracle.canonical_unique(targets)
         graph = SearchGraph(dedup=cfg.mode == "graph")
         tids = [graph.add_target(key, inventory) for key in canon]
-        mols, hist, proof = graph.molecule, graph.hist_cost, graph.proof_cost
+        mols, proof = graph.molecule, graph.proof_cost
         first: dict[NodeId, int] = {t: 0 for t in tids if proof[t] < INF}
         iterations = 0
         trace: list[TraceRecord] = []
-        heuristic = getattr(cost_model, "heuristic", None)
-        price = lambda v: hist[v] + heuristic(mols[v])
-        heap = [(price(v), v) for v in graph.open_nodes()] if heuristic else []
-        heapq.heapify(heap)
+        heap, fell = [], graph.open_nodes()
         while not graph.all_targets_successful() and iterations < cfg.budget:
-            while heap and not (graph.open[heap[0][1]] and heap[0][0] == price(heap[0][1])):
-                heapq.heappop(heap)
-            if not (heap if heuristic else any(graph.open)):
+            v = select_next(graph, cost_model, heap, fell)
+            if v is None:
                 break
-            v = heapq.heappop(heap)[1] if heuristic else select_next(graph, cost_model)
             molecule = mols[v]
             try:
                 reactions = oracle.expand(molecule, cfg.k)
             except Exception as exc:
                 raise PlanningError(f"oracle failed expanding {molecule!r}: {exc}") from exc
-            for m in graph.merge_expand(v, reactions, inventory):
-                if heuristic and graph.open[m]:
-                    heapq.heappush(heap, (price(m), m))
+            fell = graph.merge_expand(v, reactions, inventory)
             iterations += 1
             for t in tids:
                 if t not in first and proof[t] < INF:

@@ -689,6 +689,7 @@ def pairwise_accuracy(examples, params: GnnParameters) -> float:
     return correct / count
 
 
+@np.errstate(over="ignore", invalid="ignore")   # divergence raises FloatingPointError
 def train(train_set, val_set, hyper: GnnHyper, seed: int = 0, epochs: int = 20,
           batch_size: int = 32, lr: float = 1e-4) -> TrainResult:
     """Minibatch Adam training; per-graph losses are averaged within each

@@ -183,7 +183,7 @@ class TestDedupExactness:
             g.add_target(dom.canonical(target), inv)
             expanded = []
             while g.open_nodes() and len(g.nodes) < 400:
-                v = select_next(g, ZeroCost())
+                v = select_next(g, ZeroCost(), [], g.open_nodes())
                 expanded.append(g.nodes[v].molecule)
                 g.merge_expand(v, dom.expand(g.nodes[v].molecule, 8), inv)
                 mols = [n.molecule for n in g.nodes if n.kind == "molecule"]
@@ -552,7 +552,7 @@ class TestClosedForms:
         g = SearchGraph(dedup=True)
         g.add_target("19", inv)
         while g.open_nodes() and len(g.nodes) < 40:
-            v = select_next(g, ZeroCost())
+            v = select_next(g, ZeroCost(), [], g.open_nodes())
             g.merge_expand(v, dom.expand(g.nodes[v].molecule, 6), inv)
         params = policygnn.GnnParameters(FD_HYPER, seed=3)
         scores = policygnn.score(g.snapshot(), params).normalized

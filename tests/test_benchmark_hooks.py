@@ -68,6 +68,29 @@ def test_traced_gnn_plan_scores_once_per_iteration(tracing, tmp_path):
     assert tracer.check_errors == []
 
 
+def test_traced_zero_cost_plan_selects_through_select_next(tracing):
+    # every pick of a heap-priced plan is a planner.select_next span, one
+    # more when the frontier runs empty; pricing needs no open_costs span
+    from retrograph.molspace import AdditiveSplitDomain, FactorSplitDomain, Inventory
+    from retrograph.planner import PlanConfig
+
+    runs = ((AdditiveSplitDomain(seed=0), "40", 0), (FactorSplitDomain(seed=0), "97", 1))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, traced=True)
+        for dom, target, stop in runs:
+            first = tracer.begin_pass()
+            res = planner.plan([target], dom, Inventory.integer_range(3),
+                               PlanConfig(budget=5, k=6))
+            assert res.iterations > 0
+            assert (len(tracer.spans_named("planner.select_next", first))
+                    == res.iterations + stop)
+            assert tracer.spans_named("costmodel.open_costs", first) == []
+    finally:
+        tracer.uninstall()
+    assert tracer.check_errors == []
+
+
 def test_traced_train_runs_through_the_wrapped_layers(tracing, tmp_path):
     # training must reach the network through the wrapped example_loss (one
     # span per example per epoch: train and validation) and meta_layer, and

@@ -67,7 +67,7 @@ class TestZeroCost:
         g = two_open_graph()
         h = ZeroCost().open_costs(g)
         assert h == dict.fromkeys(g.open_nodes(), 0.0)
-        assert select_next(g, ZeroCost()) == min(
+        assert select_next(g, ZeroCost(), [], g.open_nodes()) == min(
             g.open_nodes(), key=lambda v: (g.nodes[v].hist_cost, v))
 
 

@@ -36,7 +36,7 @@ from retrograph.planner import (
     select_next,
     validate_route,
 )
-from retrograph.searchgraph import ContractViolation, SearchGraph
+from retrograph.searchgraph import SearchGraph
 from test_searchgraph import random_cyclic_table
 
 
@@ -92,8 +92,8 @@ class TestPlanBasics:
         assert t.first_success_iteration is None and t.route is None
 
     def test_dead_end_stops_early(self):
-        # expand 97, then nothing is open; a model without heuristic goes
-        # through select_next, which must not be called on an empty frontier
+        # expand 97, then nothing is open; select_next returns None for a
+        # model with heuristic and for one without, and plan stops
         dom = FactorSplitDomain(seed=0)
         for model in (None, ScanOnly(ZeroCost())):
             res = plan(["97"], dom, Inventory.integer_range(3),
@@ -190,7 +190,7 @@ class TestSelectionOrder:
         assert [r.expanded for r in res.trace] == ["T", "A", "B"]
 
     def test_select_next_adds_hist_cost_to_h(self):
-        class Stub(ZeroCost):
+        class Stub(CostModel):
             """h by molecule, in the reverse of the hist_cost order"""
 
             def __init__(self, h):
@@ -207,16 +207,17 @@ class TestSelectionOrder:
         ids = {g.nodes[v].molecule: v for v in g.open_nodes()}
         assert [g.nodes[ids[m]].hist_cost for m in "ABC"] == [1.0, 2.0, 3.0]
         # prices 4.0, 3.0 and 3.5: B is cheapest though its h is not the least
-        assert select_next(g, Stub({"A": 3.0, "B": 1.0, "C": 0.5})) == ids["B"]
+        assert select_next(g, Stub({"A": 3.0, "B": 1.0, "C": 0.5}), [], ()) == ids["B"]
         # A and B both price 3.0; the tie goes to the lower id
         assert ids["A"] < ids["B"]
-        assert select_next(g, Stub({"A": 2.0, "B": 1.0, "C": 0.5})) == ids["A"]
+        assert select_next(g, Stub({"A": 2.0, "B": 1.0, "C": 0.5}), [], ()) == ids["A"]
 
     def test_select_next_contract(self):
         g = SearchGraph()
         g.add_target("I", Inventory(["I"]))
-        with pytest.raises(ContractViolation):
-            select_next(g, ZeroCost())
+        # nothing is open: None, from the heap and from the scan alike
+        assert select_next(g, ZeroCost(), [], g.open_nodes()) is None
+        assert select_next(g, ScanOnly(ZeroCost()), [], g.open_nodes()) is None
 
 
 class TestGraphVersusTree:

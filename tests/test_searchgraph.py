@@ -1,10 +1,11 @@
 """Search-graph tests.
 
-The incremental success/cost maintenance is checked against four
+The incremental success/cost maintenance is checked against five
 independently written references: a naive least-fixpoint sweep, value
-iteration for proof costs, Dijkstra from the targets, and (on small graphs)
-exhaustive simple-path enumeration. The hand-built fixture's expected values
-were worked out on paper.
+iteration for proof costs, Dijkstra from the targets, (on small graphs)
+exhaustive simple-path enumeration, and the integer domains' closed-form
+cost-to-go. The hand-built fixture's expected values were worked out on
+paper.
 """
 
 import heapq
@@ -16,6 +17,7 @@ import pytest
 
 from retrograph.molspace import (
     AdditiveSplitDomain,
+    FactorSplitDomain,
     Inventory,
     Reaction,
     TableDomain,
@@ -378,6 +380,29 @@ class TestRandomizedAgainstReferences:
             if dedup:
                 mols = [n.molecule for n in g.nodes if n.kind == "molecule"]
                 assert len(mols) == len(set(mols))
+
+
+class TestClosedFormCostToGo:
+    """Every reactant in the integer domains is smaller than its product, so
+    the cheapest proof cost V*(n) under top-k expansion is a dynamic program
+    over n. An exhaustively expanded graph must reach it bit for bit."""
+
+    @pytest.mark.parametrize("domain", [AdditiveSplitDomain, FactorSplitDomain])
+    def test_exhaustive_graph_matches_v_star(self, domain):
+        dom, inv, k, top = domain(seed=0), Inventory.integer_range(3), 6, 120
+        v_star = [INF, 0.0, 0.0, 0.0]
+        for n in range(4, top + 1):
+            # the graph's summation order: cost plus the reactants' sum;
+            # a dead end (a factor-split prime) has no proof
+            v_star.append(min((r.cost + sum(v_star[int(m)] for m in r.reactants)
+                               for r in dom.expand(str(n), k)), default=INF))
+        for n in range(4, top + 1):
+            g = SearchGraph(dedup=True)
+            t = g.add_target(str(n), inv)
+            while g.open_nodes():
+                v = min(g.open_nodes())
+                g.merge_expand(v, dom.expand(g.molecule[v], k), inv)
+            assert g.proof_cost[t] == v_star[n], n
 
 
 class TestInvariantChecker:
